@@ -33,6 +33,13 @@ Machine::Machine(std::uint32_t machine_id, const MachineConfig &config,
                                          rng_.next_u64(),
                                          config_.verify_zswap_roundtrip);
     zswap_ = zswap.get();
+    rollup_metrics_.accesses = &metrics_->counter("machine.accesses");
+    rollup_metrics_.promotions = &metrics_->counter("machine.promotions");
+    rollup_metrics_.resident_pages =
+        &metrics_->gauge("machine.resident_pages");
+    rollup_metrics_.cold_pages = &metrics_->gauge("machine.cold_pages");
+    rollup_metrics_.far_memory_pages =
+        &metrics_->gauge("machine.far_memory_pages");
     zswap_->bind_metrics(metrics_.get());
     kstaled_.bind_metrics(metrics_.get());
     kreclaimd_.bind_metrics(metrics_.get());
@@ -265,14 +272,14 @@ Machine::step(SimTime now)
         zswap_->compact();
 
     // Machine-level roll-up metrics, once per control period.
-    metrics_->counter("machine.accesses").inc(result.accesses);
-    metrics_->counter("machine.promotions").inc(result.promotions);
-    metrics_->gauge("machine.resident_pages")
-        .set(static_cast<double>(resident_pages()));
-    metrics_->gauge("machine.cold_pages")
-        .set(static_cast<double>(cold_pages_min_threshold()));
-    metrics_->gauge("machine.far_memory_pages")
-        .set(static_cast<double>(far_memory_pages()));
+    rollup_metrics_.accesses->inc(result.accesses);
+    rollup_metrics_.promotions->inc(result.promotions);
+    rollup_metrics_.resident_pages->set(
+        static_cast<double>(resident_pages()));
+    rollup_metrics_.cold_pages->set(
+        static_cast<double>(cold_pages_min_threshold()));
+    rollup_metrics_.far_memory_pages->set(
+        static_cast<double>(far_memory_pages()));
     for (std::size_t i = 0; i < tier_metrics_.size(); ++i) {
         const FarTier &tier = tiers_.tier(i + 1);
         tier_metrics_[i].stored_pages->set(

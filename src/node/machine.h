@@ -438,6 +438,19 @@ class Machine
     // Per-tier breakers, degradation windows, and last-seen fault
     // counters live on the TierStack entries.
 
+    /** Cached machine.* roll-up metric handles, bound at construction. */
+    struct RollupMetricSet
+    {
+        Counter *accesses = nullptr;
+        Counter *promotions = nullptr;
+        Gauge *resident_pages = nullptr;
+        Gauge *cold_pages = nullptr;
+        Gauge *far_memory_pages = nullptr;
+    };
+    // sdfm-state: non-semantic(registry-owned metric handles; the
+    // counters and page counts they mirror are digested)
+    RollupMetricSet rollup_metrics_;
+
     /**
      * Cached tier.<label>.* metric handles, one per deep tier, bound
      * only when config_.tiers is explicitly non-empty so legacy

@@ -19,12 +19,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -36,27 +30,6 @@ Rng::Rng(std::uint64_t seed)
     // seed cannot produce four zero words, but be defensive.
     if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0)
         s_[0] = 1;
-}
-
-std::uint64_t
-Rng::next_u64()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-double
-Rng::next_double()
-{
-    // 53 high bits -> uniform in [0, 1).
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 std::uint64_t
@@ -80,12 +53,6 @@ Rng::next_range(std::int64_t lo, std::int64_t hi)
     if (span == 0)  // full 64-bit range
         return static_cast<std::int64_t>(next_u64());
     return lo + static_cast<std::int64_t>(next_below(span));
-}
-
-bool
-Rng::next_bool(double p)
-{
-    return next_double() < p;
 }
 
 double
@@ -114,17 +81,6 @@ Rng::next_gaussian(double mean, double stddev)
 }
 
 double
-Rng::next_exponential(double rate)
-{
-    SDFM_ASSERT(rate > 0.0);
-    double u;
-    do {
-        u = next_double();
-    } while (u <= 0.0);
-    return -std::log(u) / rate;
-}
-
-double
 Rng::next_pareto(double scale, double alpha)
 {
     SDFM_ASSERT(scale > 0.0 && alpha > 0.0);
@@ -147,7 +103,7 @@ Rng::fork()
     // Derive an independent stream from two draws of this one.
     std::uint64_t a = next_u64();
     std::uint64_t b = next_u64();
-    return Rng(a ^ rotl(b, 32));
+    return Rng(a ^ std::rotl(b, 32));
 }
 
 RngState

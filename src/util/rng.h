@@ -11,8 +11,12 @@
 #ifndef SDFM_UTIL_RNG_H
 #define SDFM_UTIL_RNG_H
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
+
+#include "util/logging.h"
 
 namespace sdfm {
 
@@ -92,6 +96,48 @@ class Rng
     bool have_gauss_ = false;
     double gauss_spare_ = 0.0;
 };
+
+// The draws every simulated page access makes (the write coin, the
+// gap draw) are defined here so they inline into the access loop; the
+// rest of the distributions live in rng.cc.
+
+inline std::uint64_t
+Rng::next_u64()
+{
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+}
+
+inline double
+Rng::next_double()
+{
+    // 53 high bits -> uniform in [0, 1).
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+}
+
+inline bool
+Rng::next_bool(double p)
+{
+    return next_double() < p;
+}
+
+inline double
+Rng::next_exponential(double rate)
+{
+    SDFM_ASSERT(rate > 0.0);
+    double u;
+    do {
+        u = next_double();
+    } while (u <= 0.0);
+    return -std::log(u) / rate;
+}
 
 /**
  * Zipf-distributed integer draws over {0, ..., n-1} with exponent s,

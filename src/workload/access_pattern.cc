@@ -146,13 +146,9 @@ AccessPattern::ckpt_load(Deserializer &d)
     d.get_rng(rng_);
     std::vector<std::uint64_t> heap = d.get_u64_vec();
     next_scan_ = d.get_i64();
-    if (!d.ok() || heap.size() > num)
+    if (!d.ok() ||
+        !queue_.restore_raw(std::move(heap), static_cast<std::uint32_t>(num)))
         return false;
-    for (std::uint64_t key : heap) {
-        if ((key & 0xffffffffu) >= num)
-            return false;
-    }
-    queue_.restore_raw(std::move(heap));
     if ((profile_.scan_interval_mean > 0) != (next_scan_ != 0))
         return false;
     return true;
@@ -193,18 +189,27 @@ AccessPattern::next_active_start(SimTime t) const
 }
 
 std::uint64_t
-AccessPattern::next_event_key(PageId page, SimTime accessed_at)
+AccessPattern::next_event_key(PageId page, SimTime accessed_at,
+                              GapMath &math)
 {
-    double load = diurnal_multiplier(accessed_at);
+    // Only the hot and warm gaps scale with load. A drain visits
+    // times in order, so one cached second serves every access in it.
+    auto load = [&] {
+        if (math.load_time != accessed_at) {
+            math.load = diurnal_multiplier(accessed_at);
+            math.load_time = accessed_at;
+        }
+        return math.load;
+    };
     double gap_s;
     switch (classes_[page]) {
       case ReuseClass::kHot:
-        gap_s = rng_.next_exponential(1.0 / profile_.hot_gap_mean) / load;
+        gap_s = rng_.next_exponential(math.hot_rate) / load();
         break;
       case ReuseClass::kWarm:
-        gap_s = rng_.next_lognormal(std::log(profile_.warm_median_gap),
+        gap_s = rng_.next_lognormal(math.warm_log_median,
                                     profile_.warm_sigma) /
-                load;
+                load();
         break;
       case ReuseClass::kCold:
         gap_s = rng_.next_pareto(profile_.cold_scale, profile_.cold_alpha);

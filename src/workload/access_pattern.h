@@ -19,6 +19,7 @@
 #ifndef SDFM_WORKLOAD_ACCESS_PATTERN_H
 #define SDFM_WORKLOAD_ACCESS_PATTERN_H
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -73,6 +74,8 @@ class AccessPattern
     step(SimTime now, SimTime dt, Fn &&fn)
     {
         SimTime end = now + dt;
+        GapMath math{1.0 / profile_.hot_gap_mean,
+                     std::log(profile_.warm_median_gap)};
         // Batch drain: the queue hands over each due event and takes
         // the replacement key back in the same heap operation. The
         // RNG draw order (is_write, then the gap draws inside
@@ -82,7 +85,7 @@ class AccessPattern
             end, [&](SimTime t, PageId page) -> std::uint64_t {
                 bool is_write = rng_.next_bool(profile_.write_frac);
                 fn(page, is_write);
-                return next_event_key(page, t);
+                return next_event_key(page, t, math);
             });
         while (next_scan_ != 0 && next_scan_ < end) {
             for (PageId p = 0; p < num_pages(); ++p) {
@@ -115,6 +118,21 @@ class AccessPattern
     }
 
   private:
+    /**
+     * Gap-draw inputs that do not change from one access to the next:
+     * the profile's hot rate and warm log-median, evaluated once per
+     * step(), and the diurnal multiplier, evaluated once per
+     * simulated second. It lives on step()'s stack; nothing in it is
+     * pattern state.
+     */
+    struct GapMath
+    {
+        double hot_rate;         ///< 1.0 / profile_.hot_gap_mean
+        double warm_log_median;  ///< std::log(profile_.warm_median_gap)
+        SimTime load_time = -1;  ///< second `load` was evaluated at
+        double load = 0.0;       ///< diurnal_multiplier(load_time)
+    };
+
     /** Clamp a floating-point gap to a safe SimTime (>= 1 s). */
     static SimTime to_gap_public(double seconds);
 
@@ -124,7 +142,8 @@ class AccessPattern
      * again). Rescheduled times are always >= accessed_at + 1 s, so 0
      * cannot collide with a real key.
      */
-    std::uint64_t next_event_key(PageId page, SimTime accessed_at);
+    std::uint64_t next_event_key(PageId page, SimTime accessed_at,
+                                 GapMath &math);
 
     /** Start of the next diurnal active window at or after @p t. */
     SimTime next_active_start(SimTime t) const;

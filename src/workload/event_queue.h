@@ -1,24 +1,28 @@
 /**
  * @file
  * Min-queue of (time, page) access events, the innermost data
- * structure of the whole simulator: every simulated page access pops
- * one event and pushes the next, so fleet steps spend most of their
- * cycles here.
+ * structure of the whole simulator: every simulated page access hands
+ * over one event and takes its page's next event back in a single
+ * sift-down, so fleet steps spend most of their cycles here.
  *
- * Two representation choices buy a large constant factor over
- * std::priority_queue<std::pair<SimTime, PageId>>:
+ * Three choices keep that sift cheap:
  *
  *  - Events pack into one 64-bit word (time in the high 32 bits,
- *    page in the low 32), so an element is 8 bytes instead of 16 and
- *    ordering is a single integer compare. The packed order is
- *    exactly the lexicographic (time, page) order of the pair-based
- *    queue, so simulation trajectories are bit-identical.
+ *    page in the low 32), so an element is 8 bytes and ordering is a
+ *    single integer compare. The packed order is the lexicographic
+ *    (time, page) order.
  *  - The heap is 4-ary rather than binary: half the levels, and the
  *    four children of a node share a cache line, which matters when
  *    the heap spans hundreds of thousands of far-future events.
+ *  - The sift picks the smallest of four children with two pairwise
+ *    compares and a final select, not a compare-and-branch loop: which
+ *    child wins is a coin flip, so a branch on it mispredicts about
+ *    half the time at every level.
  *
- * Each page has at most one queued event, so keys are unique and the
- * pop order is a total order independent of heap shape.
+ * Each page has at most one queued event, so keys are unique: the pop
+ * order is a total order, and any child-selection rule that finds the
+ * minimum yields the same heap layout, so raw() and checkpoint bytes
+ * do not depend on how the minimum is found.
  */
 
 #ifndef SDFM_WORKLOAD_EVENT_QUEUE_H
@@ -28,7 +32,6 @@
 #include <vector>
 
 #include "mem/page.h"
-#include "util/invariant.h"
 #include "util/logging.h"
 #include "util/sim_time.h"
 
@@ -81,17 +84,26 @@ class EventQueue
      */
     const std::vector<std::uint64_t> &raw() const { return heap_; }
 
-    /** Replace the heap with a serialized raw() array. */
-    void
-    restore_raw(std::vector<std::uint64_t> heap)
+    /**
+     * Replace the heap with a serialized raw() array, unless it is not
+     * a queue over pages [0, @p num_pages): a page out of range, a
+     * page queued twice, or a child ordered before its parent. A
+     * rejected array leaves the queue untouched. O(n).
+     */
+    bool
+    restore_raw(std::vector<std::uint64_t> heap, std::uint32_t num_pages)
     {
-        heap_ = std::move(heap);
-        if constexpr (kInvariantsEnabled) {
-            for (std::size_t i = 1; i < heap_.size(); ++i) {
-                SDFM_INVARIANT(heap_[(i - 1) / kArity] <= heap_[i],
-                               "restored event heap violates heap order");
-            }
+        std::vector<bool> queued(num_pages, false);
+        for (std::size_t i = 0; i < heap.size(); ++i) {
+            const std::uint64_t page = heap[i] & 0xffffffffu;
+            if (page >= num_pages || queued[page])
+                return false;
+            queued[page] = true;
+            if (i > 0 && heap[(i - 1) / kArity] > heap[i])
+                return false;
         }
+        heap_ = std::move(heap);
+        return true;
     }
 
     /** Remove the earliest event. */
@@ -174,26 +186,48 @@ class EventQueue
     void
     sift_down(std::uint64_t key)
     {
-        std::size_t n = heap_.size();
+        const std::size_t n = heap_.size();
+        std::uint64_t *h = heap_.data();
         std::size_t i = 0;
         for (;;) {
-            std::size_t first_child = i * kArity + 1;
-            if (first_child >= n)
+            const std::size_t first = i * kArity + 1;
+            std::size_t best;
+            std::uint64_t min;
+            if (first + kArity <= n) {
+                // Full group: the smaller of each pair (conditional
+                // moves), then the smaller pair winner through an
+                // all-ones-or-zero mask; GCC compiles a plain ternary
+                // for this last pick into a branch. Ties would keep
+                // the leftmost child, as a scan would; keys are
+                // unique anyway.
+                const std::uint64_t *c = h + first;
+                const bool right01 = c[1] < c[0];
+                const bool right23 = c[3] < c[2];
+                const std::uint64_t min01 = right01 ? c[1] : c[0];
+                const std::uint64_t min23 = right23 ? c[3] : c[2];
+                const std::size_t off01 = right01;
+                const std::size_t off23 = 2 + std::size_t{right23};
+                const std::uint64_t take23 =
+                    0 - static_cast<std::uint64_t>(min23 < min01);
+                min = min01 ^ ((min01 ^ min23) & take23);
+                best = first + (off01 ^ ((off01 ^ off23) & take23));
+            } else if (first < n) {
+                // The one partial group, at the bottom of the heap.
+                best = first;
+                for (std::size_t c = first + 1; c < n; ++c) {
+                    if (h[c] < h[best])
+                        best = c;
+                }
+                min = h[best];
+            } else {
                 break;
-            std::size_t end = first_child + kArity < n
-                                  ? first_child + kArity
-                                  : n;
-            std::size_t best = first_child;
-            for (std::size_t c = first_child + 1; c < end; ++c) {
-                if (heap_[c] < heap_[best])
-                    best = c;
             }
-            if (heap_[best] >= key)
+            if (min >= key)
                 break;
-            heap_[i] = heap_[best];
+            h[i] = min;
             i = best;
         }
-        heap_[i] = key;
+        h[i] = key;
     }
 
     std::vector<std::uint64_t> heap_;

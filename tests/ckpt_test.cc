@@ -11,10 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autotune/gp_bandit.h"
@@ -385,6 +388,91 @@ TEST(SubsystemCkpt, JobRoundTripDigestEqual)
     }
 }
 
+/** A CRC-valid but corrupt edit of an access pattern's event array. */
+struct EventArrayCorruption
+{
+    const char *what;
+    void (*mutate)(std::vector<std::uint64_t> &heap);
+};
+
+const EventArrayCorruption kEventArrayCorruptions[] = {
+    {"heap order broken: the earliest event swapped to the back",
+     [](std::vector<std::uint64_t> &heap) {
+         std::swap(heap.front(), heap.back());
+     }},
+    {"page queued twice: the last event copies its parent (heap order "
+     "still holds)",
+     [](std::vector<std::uint64_t> &heap) {
+         heap.back() = heap[(heap.size() - 2) / 4];
+     }},
+};
+
+/**
+ * AccessPattern::ckpt_save() bytes with @p corruption applied to the
+ * event array. The length is unchanged, so the result can replace the
+ * original inside an enclosing job, machine or cluster payload.
+ */
+std::vector<std::uint8_t>
+corrupt_event_array(const std::vector<std::uint8_t> &pattern_bytes,
+                    const EventArrayCorruption &corruption)
+{
+    Deserializer d(pattern_bytes);
+    Serializer s;
+    std::size_t num_pages = d.get_size(0xffffffffu);
+    s.put_u64(num_pages);
+    for (std::size_t i = 0; i < num_pages; ++i)
+        s.put_u8(d.get_u8());
+    Rng rng;
+    d.get_rng(rng);
+    s.put_rng(rng);
+    std::vector<std::uint64_t> heap = d.get_u64_vec();
+    EXPECT_GE(heap.size(), 2u);
+    corruption.mutate(heap);
+    s.put_u64_vec(heap);
+    s.put_i64(d.get_i64());
+    EXPECT_TRUE(d.ok() && d.at_end());
+    return s.take();
+}
+
+TEST(SubsystemCkpt, JobRestoreRejectsCorruptEventArray)
+{
+    FleetMix mix = typical_fleet_mix();
+    MachineConfig config;
+    config.dram_pages = 16 * 1024;
+    Machine machine(0, config, 11);
+    machine.add_job(std::make_unique<Job>(1, mix.profiles[0], 100, 0));
+    SimTime now = 0;
+    for (int i = 0; i < 5; ++i, now += config.control_period)
+        machine.step(now);
+
+    ASSERT_EQ(machine.jobs().size(), 1u);
+    Job &job = *machine.jobs().front();
+    Serializer js;
+    job.ckpt_save(js);
+    Serializer ps;
+    job.pattern().ckpt_save(ps);
+    const std::vector<std::uint8_t> job_bytes = js.take();
+    const std::vector<std::uint8_t> pattern_bytes = ps.take();
+    // The pattern is the tail of the job's bytes.
+    ASSERT_GT(job_bytes.size(), pattern_bytes.size());
+    const std::size_t offset = job_bytes.size() - pattern_bytes.size();
+    ASSERT_TRUE(std::equal(pattern_bytes.begin(), pattern_bytes.end(),
+                           job_bytes.begin() +
+                               static_cast<std::ptrdiff_t>(offset)));
+
+    for (const EventArrayCorruption &c : kEventArrayCorruptions) {
+        SCOPED_TRACE(c.what);
+        std::vector<std::uint8_t> bad = job_bytes;
+        std::vector<std::uint8_t> corrupt =
+            corrupt_event_array(pattern_bytes, c);
+        ASSERT_EQ(corrupt.size(), pattern_bytes.size());
+        std::copy(corrupt.begin(), corrupt.end(),
+                  bad.begin() + static_cast<std::ptrdiff_t>(offset));
+        Deserializer d(bad);
+        EXPECT_FALSE(Job::ckpt_restore(d)) << "corrupt array accepted";
+    }
+}
+
 TEST(SubsystemCkpt, MachineRoundTripTrajectoryEqual)
 {
     FleetMix mix = typical_fleet_mix();
@@ -620,6 +708,51 @@ TEST(FleetCkpt, RejectionsLeaveLiveFleetUntouched)
         }
         ASSERT_EQ(writer.write_file(bad.path), CkptStatus::kOk);
         expect_rejected(CkptStatus::kCorruptPayload);
+    }
+}
+
+TEST(FleetCkpt, CorruptEventArrayIsRejected)
+{
+    TempCkpt good("fleet_ckpt_events_good.ckpt");
+    TempCkpt bad("fleet_ckpt_events_bad.ckpt");
+    FleetConfig config = small_fleet_config();
+
+    FarMemorySystem fleet(config);
+    fleet.populate();
+    for (int i = 0; i < 4; ++i)
+        fleet.step();
+    ASSERT_EQ(fleet.checkpoint(good.path), CkptStatus::kOk);
+    Serializer ps;
+    fleet.clusters().front()->machines().front()->jobs().front()
+        ->pattern().ckpt_save(ps);
+    const std::vector<std::uint8_t> pattern_bytes = ps.take();
+    const std::uint64_t live_digest = fleet.state_digest();
+
+    CkptReader reader;
+    ASSERT_EQ(reader.read_file(good.path), CkptStatus::kOk);
+    for (const EventArrayCorruption &c : kEventArrayCorruptions) {
+        SCOPED_TRACE(c.what);
+        std::vector<std::uint8_t> corrupt =
+            corrupt_event_array(pattern_bytes, c);
+        CkptWriter writer;
+        bool replaced = false;
+        for (const CkptSection &section : reader.sections()) {
+            std::vector<std::uint8_t> payload = section.payload;
+            if (section.name == "cluster.0000") {
+                auto at = std::search(payload.begin(), payload.end(),
+                                      pattern_bytes.begin(),
+                                      pattern_bytes.end());
+                ASSERT_NE(at, payload.end());
+                std::copy(corrupt.begin(), corrupt.end(), at);
+                replaced = true;
+            }
+            writer.add_section(section.name, std::move(payload));
+        }
+        ASSERT_TRUE(replaced);
+        ASSERT_EQ(writer.write_file(bad.path), CkptStatus::kOk);
+        EXPECT_EQ(fleet.restore(bad.path), CkptStatus::kCorruptPayload);
+        EXPECT_EQ(fleet.state_digest(), live_digest)
+            << "a rejected restore mutated the live fleet";
     }
 }
 

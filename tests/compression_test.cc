@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 #include <vector>
 
 #include "compression/compressor.h"
@@ -320,6 +321,15 @@ struct ClassRatioBand
     double min_ratio;
     double max_ratio;
 };
+
+// Names each case by its class. Without it gtest names the case by the
+// parameter's raw bytes, whose padding is uninitialised and differs
+// from run to run.
+void
+PrintTo(const ClassRatioBand &band, std::ostream *os)
+{
+    *os << content_class_name(band.cls);
+}
 
 class ClassCompressibility
     : public ::testing::TestWithParam<ClassRatioBand>

@@ -6,11 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "compression/compressor.h"
 #include "mem/zswap.h"
+#include "util/digest.h"
 #include "workload/access_pattern.h"
 #include "workload/job.h"
 #include "workload/job_profile.h"
@@ -18,6 +23,243 @@
 
 namespace sdfm {
 namespace {
+
+// --------------------------------------------------------- event queue
+
+/**
+ * The 4-ary heap with the child-selection loop EventQueue used before
+ * its sift went branchless: the reference layout the queue must
+ * reproduce exactly, since raw() is what checkpoints store.
+ */
+class ReferenceHeap
+{
+  public:
+    void
+    push(std::uint64_t key)
+    {
+        heap_.push_back(key);
+        std::size_t i = heap_.size() - 1;
+        while (i > 0) {
+            std::size_t parent = (i - 1) / 4;
+            if (heap_[parent] <= key)
+                break;
+            heap_[i] = heap_[parent];
+            i = parent;
+        }
+        heap_[i] = key;
+    }
+
+    void
+    pop()
+    {
+        std::uint64_t last = heap_.back();
+        heap_.pop_back();
+        if (!heap_.empty())
+            sift_down(last);
+    }
+
+    void replace_top(std::uint64_t key) { sift_down(key); }
+
+    const std::vector<std::uint64_t> &raw() const { return heap_; }
+
+  private:
+    void
+    sift_down(std::uint64_t key)
+    {
+        std::size_t n = heap_.size();
+        std::size_t i = 0;
+        for (;;) {
+            std::size_t first_child = i * 4 + 1;
+            if (first_child >= n)
+                break;
+            std::size_t end = std::min(first_child + 4, n);
+            std::size_t best = first_child;
+            for (std::size_t c = first_child + 1; c < end; ++c) {
+                if (heap_[c] < heap_[best])
+                    best = c;
+            }
+            if (heap_[best] >= key)
+                break;
+            heap_[i] = heap_[best];
+            i = best;
+        }
+        heap_[i] = key;
+    }
+
+    std::vector<std::uint64_t> heap_;
+};
+
+/** (time, page) of a handed-over event. */
+using Event = std::pair<SimTime, PageId>;
+
+/**
+ * Drain @p queue until @p end, rescheduling each page 1-99 s later
+ * (often inside the same window) and retiring it with probability
+ * 1/8, all drawn from @p rng. Returns the events in hand-over order.
+ */
+std::vector<Event>
+drain_randomly(EventQueue &queue, SimTime end, Rng &rng)
+{
+    std::vector<Event> seen;
+    queue.drain_until(end, [&](SimTime t, PageId page) -> std::uint64_t {
+        seen.emplace_back(t, page);
+        if (rng.next_below(8) == 0)
+            return 0;
+        SimTime gap = 1 + static_cast<SimTime>(rng.next_below(99));
+        return EventQueue::make_key(t + gap, page);
+    });
+    return seen;
+}
+
+/** A queue holding one event per page at a random time in [0, 600). */
+EventQueue
+random_queue(std::uint32_t num_pages, Rng &rng)
+{
+    EventQueue queue;
+    for (PageId p = 0; p < num_pages; ++p)
+        queue.emplace(static_cast<SimTime>(rng.next_below(600)), p);
+    return queue;
+}
+
+TEST(EventQueue, DrainHandsOverInTimeThenPageOrder)
+{
+    Rng rng(3);
+    EventQueue queue = random_queue(1000, rng);
+    // A sorted mirror of the queue, run through the same handler.
+    std::set<Event> mirror;
+    for (std::uint64_t key : queue.raw())
+        mirror.emplace(static_cast<SimTime>(key >> 32),
+                       static_cast<PageId>(key & 0xffffffffu));
+
+    Rng handler_rng(4);
+    const SimTime end = 900;
+    std::vector<Event> seen = drain_randomly(queue, end, handler_rng);
+
+    Rng mirror_rng(4);
+    std::vector<Event> expected;
+    while (!mirror.empty() && mirror.begin()->first < end) {
+        Event ev = *mirror.begin();
+        mirror.erase(mirror.begin());
+        expected.push_back(ev);
+        if (mirror_rng.next_below(8) == 0)
+            continue;
+        mirror.emplace(ev.first + 1 +
+                           static_cast<SimTime>(mirror_rng.next_below(99)),
+                       ev.second);
+    }
+    // Replacements that land inside the window are handed over again
+    // in the same drain, in order.
+    ASSERT_GT(seen.size(), 1000u);
+    EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
+    EXPECT_EQ(seen, expected);
+    ASSERT_EQ(queue.size(), mirror.size());
+    if (!queue.empty()) {
+        EXPECT_GE(queue.top_time(), end);
+        EXPECT_EQ(queue.top_time(), mirror.begin()->first);
+        EXPECT_EQ(queue.top_page(), mirror.begin()->second);
+    }
+}
+
+TEST(EventQueue, HandlerReturningZeroRetiresThePage)
+{
+    EventQueue queue;
+    for (PageId p = 0; p < 64; ++p)
+        queue.emplace(10 + p % 7, p);
+    std::uint64_t handled = queue.drain_until(
+        100, [](SimTime t, PageId page) -> std::uint64_t {
+            return page % 2 == 1 ? 0 : EventQueue::make_key(t + 200, page);
+        });
+    EXPECT_EQ(handled, 64u);
+    ASSERT_EQ(queue.size(), 32u);
+    std::vector<PageId> left;
+    queue.drain_until(1000, [&](SimTime, PageId page) -> std::uint64_t {
+        left.push_back(page);
+        return 0;
+    });
+    EXPECT_TRUE(queue.empty());
+    ASSERT_EQ(left.size(), 32u);
+    for (PageId p : left)
+        EXPECT_EQ(p % 2, 0u);
+}
+
+TEST(EventQueue, RawRestoreRoundTripDrainsIdentically)
+{
+    Rng rng(5);
+    EventQueue original = random_queue(777, rng);
+    Rng warm(6);
+    drain_randomly(original, 300, warm);  // a mid-run layout
+
+    EventQueue restored;
+    ASSERT_TRUE(restored.restore_raw(original.raw(), 777));
+    EXPECT_EQ(restored.raw(), original.raw());
+
+    Rng a(7), b(7);
+    for (SimTime end = 400; end <= 2000; end += 100) {
+        ASSERT_EQ(drain_randomly(original, end, a),
+                  drain_randomly(restored, end, b));
+        ASSERT_EQ(original.raw(), restored.raw());
+    }
+}
+
+TEST(EventQueue, RestoreRejectsCorruptArrays)
+{
+    auto key = &EventQueue::make_key;
+    const std::vector<std::uint64_t> good = {key(1, 0), key(2, 1),
+                                             key(3, 2), key(4, 3)};
+    EventQueue queue;
+    ASSERT_TRUE(queue.restore_raw(good, 4));
+
+    // Page out of range.
+    EXPECT_FALSE(queue.restore_raw({key(1, 0), key(2, 4)}, 4));
+    // A page queued twice, in heap order.
+    EXPECT_FALSE(queue.restore_raw({key(1, 2), key(2, 1), key(3, 2)}, 4));
+    // A child ordered before its parent.
+    EXPECT_FALSE(queue.restore_raw({key(2, 0), key(3, 1), key(1, 2)}, 4));
+    // A rejected array leaves the queue as it was.
+    EXPECT_EQ(queue.raw(), good);
+    EXPECT_TRUE(queue.restore_raw({}, 4));
+    EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueue, SiftMatchesReferenceLayout)
+{
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        Rng rng(seed);
+        EventQueue queue;
+        ReferenceHeap ref;
+        // Unique keys: each page is queued at most once.
+        const std::uint32_t num_pages = 64 + static_cast<std::uint32_t>(
+                                                 rng.next_below(1024));
+        std::vector<bool> queued(num_pages, false);
+        for (int op = 0; op < 20000; ++op) {
+            // Emplace twice as often as pop so the heap fills up to
+            // several levels, partial last groups included.
+            std::uint64_t choice = rng.next_below(4);
+            if (choice < 2 || queue.empty()) {
+                PageId page =
+                    static_cast<PageId>(rng.next_below(num_pages));
+                if (queued[page])
+                    continue;
+                queued[page] = true;
+                SimTime t = static_cast<SimTime>(rng.next_below(5000));
+                queue.emplace(t, page);
+                ref.push(EventQueue::make_key(t, page));
+            } else if (choice == 2) {
+                queued[queue.top_page()] = false;
+                queue.pop();
+                ref.pop();
+            } else {
+                std::uint64_t k = EventQueue::make_key(
+                    static_cast<SimTime>(rng.next_below(5000)),
+                    queue.top_page());
+                queue.replace_top(k);
+                ref.replace_top(k);
+            }
+            ASSERT_EQ(queue.raw(), ref.raw())
+                << "seed " << seed << " op " << op;
+        }
+    }
+}
 
 // ------------------------------------------------------ access pattern
 
@@ -154,6 +396,73 @@ TEST(AccessPattern, NoScansWhenDisabled)
     for (SimTime t = 0; t < 2 * kHour; t += kMinute)
         accesses += pattern.step(t, kMinute, [](PageId, bool) {});
     EXPECT_EQ(accesses, 500u);  // initial touches only
+}
+
+// ------------------------------------------------- golden access streams
+
+struct GoldenStream
+{
+    const char *profile;
+    std::uint64_t stream_hash;  ///< (page, is_write) stream and counts
+    std::uint64_t ckpt_hash;    ///< ckpt_save() bytes after the run
+};
+
+/**
+ * Each archetype's fixed-seed access stream over 100 one-minute
+ * control periods, starting at 19:30 so the diurnal classes cross the
+ * end of their active window. The values pin the reference trajectory
+ * bit for bit: a change to the event queue, the RNG draws or the
+ * per-access gap math that moves either hash changes what the
+ * simulator produces. Update them only in a change that rebaselines
+ * the trajectory on purpose and says so.
+ */
+constexpr GoldenStream kGoldenStreams[] = {
+    {"web_frontend", 0xe0ed2f27d9a9f3eaULL, 0x9a3cc50912a42b59ULL},
+    {"bigtable", 0xa9ceeebdb14d6643ULL, 0xd843348a76fa64a2ULL},
+    {"kv_cache", 0xfba147f5f95cd26dULL, 0xdafd7a3a1c3c863dULL},
+    {"ml_training", 0x48af77e74c86964dULL, 0x532ff6b491db65c2ULL},
+    {"batch_analytics", 0xef547f16d36a41acULL, 0x020033290640359bULL},
+    {"logs", 0x9802dbad531dfd45ULL, 0x9a7d27996094163dULL},
+    {"memory_bomb", 0x8ac46975aede8cc1ULL, 0x8ce32b535d99954aULL},
+};
+
+TEST(AccessPattern, GoldenStreamsCoverEveryArchetype)
+{
+    std::vector<std::string> names;
+    for (const JobProfile &p : typical_fleet_mix().profiles)
+        names.push_back(p.name);
+    names.push_back(memory_bomb_profile().name);
+    std::vector<std::string> pinned;
+    for (const GoldenStream &g : kGoldenStreams)
+        pinned.emplace_back(g.profile);
+    EXPECT_EQ(pinned, names);
+}
+
+TEST(AccessPattern, GoldenStreamsBitIdentical)
+{
+    const SimTime start = 19 * kHour + 30 * kMinute;
+    std::uint64_t seed = 1;
+    for (const GoldenStream &g : kGoldenStreams) {
+        SCOPED_TRACE(g.profile);
+        JobProfile profile = profile_by_name(g.profile);
+        AccessPattern pattern(profile, profile.min_pages, Rng(seed++), start);
+        StateDigest stream;
+        for (int period = 0; period < 100; ++period) {
+            std::uint64_t n = pattern.step(
+                start + period * kMinute, kMinute, [&](PageId p, bool w) {
+                    stream.mix((static_cast<std::uint64_t>(p) << 1) |
+                               (w ? 1u : 0u));
+                });
+            stream.mix(n);
+        }
+        Serializer s;
+        pattern.ckpt_save(s);
+        StateDigest ckpt;
+        for (std::uint8_t b : s.bytes())
+            ckpt.mix(b);
+        EXPECT_EQ(stream.value(), g.stream_hash);
+        EXPECT_EQ(ckpt.value(), g.ckpt_hash);
+    }
 }
 
 // ------------------------------------------------------------ profiles
