@@ -1,40 +1,33 @@
-// Bench: fleet scale-up throughput of the page-metadata layout.
+// Bench: fleet scale-up throughput of the per-page metadata walks.
 //
 // Builds a warehouse-scale fleet (default 10,000 machines across 100
 // clusters, ~500M pages), warms it into reclaim steady state, then
-// times fleet steps. With --layout=both (the default) the same config runs
-// twice -- once struct-of-arrays, once the historical array-of-structs
-// baseline -- and the report includes the SoA speedup. CI gates on
-// speedup_vs_baseline_aos >= 1.0 at a downscaled config; the committed
-// BENCH_fleet_scale.json records the full-scale result (see
-// docs/EXPERIMENTS.md for the sweep and docs/ARCHITECTURE.md for the
-// layout itself).
-//
-// Trajectories are layout-independent by contract (the page_table
-// tests assert digest equality), so both runs simulate the identical
-// fleet and the comparison is purely about memory layout.
+// times fleet steps and writes the result as JSON. The release CI
+// flavor runs a 500-machine downscale and checks the report's shape
+// (bench/check_fleet_scale.py); the committed BENCH_fleet_scale.json
+// is that downscale (see EXPERIMENTS.md for the command and
+// docs/ARCHITECTURE.md for the schema).
 //
 // Usage: fleet_scale [--machines N] [--clusters N] [--warmup N]
-//                    [--steps N] [--seed S] [--layout soa|aos|both]
-//                    [--out FILE]
+//                    [--steps N] [--seed S] [--out FILE]
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
+#include <limits>
 #include <string>
 
 #include "common.h"
-#include "mem/page_table.h"
 
 using namespace sdfm;
 
 namespace {
 
 /**
- * Warehouse-scale job mix for the layout bench: mostly-cold address
- * spaces (the paper's premise -- Figure 2 puts the fleet around 32%
+ * Warehouse-scale job mix for the fleet-scale bench: mostly-cold
+ * address spaces (the paper's premise -- Figure 2 puts the fleet around 32%
  * cold at T=120s, and far memory only pays off because the bulk of
  * memory is idle). The figure-reproduction mix in bench::standard_fleet
  * is tuned for per-job cold-CDF shapes at small scale and is far
@@ -43,8 +36,8 @@ namespace {
  * against a realistic cold majority, so the access stream stays
  * proportionally modest the way production machines' do. Re-access of
  * already-demoted pages is kept rare so zswap fault traffic (pure
- * compression cost, identical in both layouts) does not drown out the
- * walks the bench exists to compare.
+ * compression cost) does not drown out the walks the bench exists to
+ * measure.
  */
 FleetMix
 warehouse_cold_mix()
@@ -68,51 +61,26 @@ warehouse_cold_mix()
     return mix;
 }
 
-struct RunResult
+/**
+ * Parse @p arg as a decimal integer of at least @p min that fits in
+ * T; false on anything else (empty, signed, trailing characters, out
+ * of range), leaving @p out untouched.
+ */
+template <typename T>
+bool
+parse_count(const char *arg, T min, T &out)
 {
-    double steps_per_sec = 0.0;
-    double ms_per_step = 0.0;
-    std::uint64_t accesses = 0;
-    std::uint64_t jobs = 0;
-    std::uint64_t pages = 0;
-};
-
-RunResult
-run_layout(PageLayout layout, const FleetConfig &config,
-           std::uint32_t warmup_steps, std::uint32_t timed_steps)
-{
-    set_default_page_layout(layout);
-    // Scoped so each layout's fleet is destroyed before the next one
-    // is built: the two never coexist in memory.
-    auto system = std::make_unique<FarMemorySystem>(config);
-    system->populate();
-
-    for (std::uint32_t i = 0; i < warmup_steps; ++i)
-        system->step();
-
-    RunResult r;
-    auto t0 = std::chrono::steady_clock::now();
-    for (std::uint32_t i = 0; i < timed_steps; ++i)
-        r.accesses += system->step().accesses;
-    double secs = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-
-    r.steps_per_sec = static_cast<double>(timed_steps) / secs;
-    r.ms_per_step = 1e3 * secs / static_cast<double>(timed_steps);
-    r.jobs = system->num_jobs();
-    MetricsSnapshot snap = system->fleet_telemetry();
-    r.pages = static_cast<std::uint64_t>(
-        snap.gauge_or_zero("machine.resident_pages") +
-        snap.gauge_or_zero("machine.far_memory_pages"));
-    set_default_page_layout(PageLayout::kSoa);
-    return r;
-}
-
-const char *
-layout_name(PageLayout layout)
-{
-    return layout == PageLayout::kSoa ? "soa" : "aos";
+    if (*arg < '0' || *arg > '9')
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(arg, &end, 10);
+    if (errno != 0 || *end != '\0' || v < min ||
+        v > std::numeric_limits<T>::max()) {
+        return false;
+    }
+    out = static_cast<T>(v);
+    return true;
 }
 
 }  // namespace
@@ -128,39 +96,32 @@ main(int argc, char **argv)
     std::uint32_t warmup_steps = 600;
     std::uint32_t timed_steps = 10;
     std::uint64_t seed = 42;
-    std::string layout_arg = "both";
     std::string out_path = "BENCH_fleet_scale.json";
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--machines") == 0 && i + 1 < argc) {
-            machines = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--clusters") == 0 &&
-                   i + 1 < argc) {
-            clusters = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--warmup") == 0 && i + 1 < argc) {
-            warmup_steps =
-                static_cast<std::uint32_t>(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc) {
-            timed_steps =
-                static_cast<std::uint32_t>(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-            seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-        } else if (std::strcmp(argv[i], "--layout") == 0 && i + 1 < argc) {
-            layout_arg = argv[++i];
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+        bool ok = i + 1 < argc;
+        if (ok && std::strcmp(argv[i], "--machines") == 0) {
+            ok = parse_count(argv[++i], 1u, machines);
+        } else if (ok && std::strcmp(argv[i], "--clusters") == 0) {
+            ok = parse_count(argv[++i], 1u, clusters);
+        } else if (ok && std::strcmp(argv[i], "--warmup") == 0) {
+            ok = parse_count(argv[++i], 0u, warmup_steps);
+        } else if (ok && std::strcmp(argv[i], "--steps") == 0) {
+            ok = parse_count(argv[++i], 1u, timed_steps);
+        } else if (ok && std::strcmp(argv[i], "--seed") == 0) {
+            ok = parse_count(argv[++i], std::uint64_t{0}, seed);
+        } else if (ok && std::strcmp(argv[i], "--out") == 0) {
             out_path = argv[++i];
         } else {
+            ok = false;
+        }
+        if (!ok) {
             std::fprintf(stderr,
                          "usage: %s [--machines N] [--clusters N] "
                          "[--warmup N] [--steps N] [--seed S] "
-                         "[--layout soa|aos|both] [--out FILE]\n",
+                         "[--out FILE]\n",
                          argv[0]);
             return 1;
         }
-    }
-    if (layout_arg != "soa" && layout_arg != "aos" &&
-        layout_arg != "both") {
-        std::fprintf(stderr, "bad --layout %s\n", layout_arg.c_str());
-        return 1;
     }
     if (machines < clusters)
         clusters = machines;
@@ -168,10 +129,13 @@ main(int argc, char **argv)
     FleetConfig config = bench::standard_fleet(
         clusters, machines / clusters, FarMemoryPolicy::kProactive,
         seed);
+    // Machines are split evenly across clusters, so the fleet built
+    // is the largest multiple of the cluster count that fits.
+    machines = clusters * config.cluster.num_machines;
     config.cluster.mix = warehouse_cold_mix();
     // No churn: every replaced job re-runs populate + first-touch
-    // compression, a layout-independent cost that would otherwise
-    // dominate the steady-state walks under measurement.
+    // compression, a cost outside the per-page walks that would
+    // otherwise dominate the steady state under measurement.
     config.cluster.churn_per_hour = 0.0;
     // Telemetry windows retained for offline analysis grow without
     // bound (~4 KiB per job-window); over a 600-step warmup at fleet
@@ -181,38 +145,38 @@ main(int argc, char **argv)
     // 256 MiB machines hosting a handful of 32-64 MiB jobs: the
     // default 10k machines carry ~40k jobs / ~500M pages. Jobs are
     // deliberately large -- per-job control overhead (threshold
-    // update, histogram delta) is layout-independent, and tiny jobs
-    // would let it mask the per-page walks under comparison.
+    // update, histogram delta) does not scale with pages, and tiny
+    // jobs would let it mask the per-page walks under measurement.
     config.cluster.machine.dram_pages = 256ull * kMiB / kPageSize;
     // Serial stepping: the bench measures per-page work, and this box
     // may be single-core; thread-pool scheduling would only add noise.
     config.serial_step = true;
 
-    PageLayout measured_layout =
-        layout_arg == "aos" ? PageLayout::kAos : PageLayout::kSoa;
-
     std::fprintf(stderr,
-                 "fleet_scale: %u machines, %u clusters, layout=%s, "
+                 "fleet_scale: %u machines, %u clusters, "
                  "%u warmup + %u timed steps\n",
-                 machines, clusters, layout_arg.c_str(), warmup_steps,
-                 timed_steps);
+                 machines, clusters, warmup_steps, timed_steps);
 
-    RunResult measured = run_layout(measured_layout, config,
-                                    warmup_steps, timed_steps);
-    std::fprintf(stderr, "  %s: %.3f steps/s (%.1f ms/step)\n",
-                 layout_name(measured_layout), measured.steps_per_sec,
-                 measured.ms_per_step);
+    FarMemorySystem system(config);
+    system.populate();
+    for (std::uint32_t i = 0; i < warmup_steps; ++i)
+        system.step();
 
-    bool have_baseline = layout_arg == "both";
-    RunResult baseline;
-    if (have_baseline) {
-        baseline = run_layout(PageLayout::kAos, config, warmup_steps,
-                              timed_steps);
-        std::fprintf(stderr, "  aos: %.3f steps/s (%.1f ms/step)\n",
-                     baseline.steps_per_sec, baseline.ms_per_step);
-        std::fprintf(stderr, "  speedup: %.3fx\n",
-                     measured.steps_per_sec / baseline.steps_per_sec);
-    }
+    std::uint64_t accesses = 0;
+    auto t0 = std::chrono::steady_clock::now();
+    for (std::uint32_t i = 0; i < timed_steps; ++i)
+        accesses += system.step().accesses;
+    double secs = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+    double steps_per_sec = static_cast<double>(timed_steps) / secs;
+    double ms_per_step = 1e3 * secs / static_cast<double>(timed_steps);
+    MetricsSnapshot snap = system.fleet_telemetry();
+    auto pages = static_cast<std::uint64_t>(
+        snap.gauge_or_zero("machine.resident_pages") +
+        snap.gauge_or_zero("machine.far_memory_pages"));
+    std::fprintf(stderr, "  %.3f steps/s (%.1f ms/step)\n", steps_per_sec,
+                 ms_per_step);
 
     std::FILE *out = std::fopen(out_path.c_str(), "w");
     if (out == nullptr) {
@@ -222,7 +186,7 @@ main(int argc, char **argv)
     std::fprintf(out,
                  "{\n"
                  "  \"bench\": \"fleet_scale\",\n"
-                 "  \"schema_version\": 1,\n"
+                 "  \"schema_version\": 2,\n"
                  "  \"config\": {\n"
                  "    \"machines\": %u,\n"
                  "    \"clusters\": %u,\n"
@@ -233,34 +197,17 @@ main(int argc, char **argv)
                  "    \"seed\": %llu\n"
                  "  },\n"
                  "  \"measured\": {\n"
-                 "    \"layout\": \"%s\",\n"
                  "    \"steps_per_sec\": %.6f,\n"
                  "    \"ms_per_step\": %.3f,\n"
                  "    \"accesses\": %llu\n"
-                 "  }",
+                 "  }\n"
+                 "}\n",
                  machines, clusters,
-                 static_cast<unsigned long long>(measured.jobs),
-                 static_cast<unsigned long long>(measured.pages),
-                 warmup_steps, timed_steps,
-                 static_cast<unsigned long long>(seed),
-                 layout_name(measured_layout), measured.steps_per_sec,
-                 measured.ms_per_step,
-                 static_cast<unsigned long long>(measured.accesses));
-    if (have_baseline) {
-        std::fprintf(out,
-                     ",\n"
-                     "  \"baseline_aos\": {\n"
-                     "    \"layout\": \"aos\",\n"
-                     "    \"steps_per_sec\": %.6f,\n"
-                     "    \"ms_per_step\": %.3f\n"
-                     "  },\n"
-                     "  \"speedup_vs_baseline_aos\": %.3f\n",
-                     baseline.steps_per_sec, baseline.ms_per_step,
-                     measured.steps_per_sec / baseline.steps_per_sec);
-    } else {
-        std::fprintf(out, "\n");
-    }
-    std::fprintf(out, "}\n");
+                 static_cast<unsigned long long>(system.num_jobs()),
+                 static_cast<unsigned long long>(pages), warmup_steps,
+                 timed_steps, static_cast<unsigned long long>(seed),
+                 steps_per_sec, ms_per_step,
+                 static_cast<unsigned long long>(accesses));
     std::fclose(out);
     std::fprintf(stderr, "wrote %s\n", out_path.c_str());
     return 0;

@@ -158,72 +158,51 @@ Kreclaimd::reclaim_cold(Memcg &cg, DemotionPlan &plan) const
         }
     };
 
-    std::uint32_t n = cg.num_pages();
+    // Hierarchical walk: a region whose (conservative) max age is
+    // below the threshold cannot hold a demotable page -- skip it
+    // after accounting its walk. Within a live region, candidate
+    // pages come from one bitset word op: demotable means none of the
+    // disqualifying flags, so candidates are the zero bits of their
+    // union. Store side effects only touch the current page's bits,
+    // so a word's candidate mask stays valid while its later bits are
+    // processed.
+    const std::uint32_t n = cg.num_pages();
     const bool has_huge = cg.has_huge_regions();
     PageTable &pt = cg.pages();
-    if (pt.layout() == PageLayout::kSoa) {
-        // Hierarchical walk: a region whose (conservative) max age is
-        // below the threshold cannot hold a demotable page -- skip it
-        // after accounting its walk. Within a live region, candidate
-        // pages come from one bitset word op: demotable means none of
-        // the disqualifying flags, so candidates are the zero bits of
-        // their union. Store side effects only touch the current
-        // page's bits, so a word's candidate mask stays valid while
-        // its later bits are processed.
-        const std::uint8_t *age = pt.age_data();
-        const std::uint64_t *zswap_w = pt.in_zswap_words();
-        const std::uint64_t *far_w = pt.in_far_words();
-        const std::uint64_t *unev_w = pt.unevictable_words();
-        const std::uint64_t *acc_w = pt.accessed_words();
-        const std::uint64_t *incompr_w =
-            all_reject_incompressible ? pt.incompressible_words()
-                                      : nullptr;
-        const std::uint32_t regions = pt.num_summary_regions();
-        for (std::uint32_t r = 0; r < regions; ++r) {
-            if (has_huge && cg.region_is_huge(r))
-                continue;  // not demotable until split
-            const PageId first = r * kPageRegionPages;
-            const PageId end = first + kPageRegionPages < n
-                                   ? first + kPageRegionPages
-                                   : n;
-            result.pages_walked += end - first;
-            if (pt.region_max_age(r) < threshold)
-                continue;  // no page in the region is old enough
-            const std::size_t w0 = PageTable::word_of(first);
-            const std::size_t w1 =
-                (static_cast<std::size_t>(end) + 63) / 64;
-            for (std::size_t w = w0; w < w1; ++w) {
-                std::uint64_t skip =
-                    zswap_w[w] | far_w[w] | unev_w[w] | acc_w[w];
-                if (incompr_w != nullptr)
-                    skip |= incompr_w[w];
-                std::uint64_t cand = ~skip & pt.live_mask(w);
-                while (cand != 0) {
-                    int b = std::countr_zero(cand);
-                    cand &= cand - 1;
-                    PageId p =
-                        static_cast<PageId>(w * 64) +
-                        static_cast<PageId>(b);
-                    if (age[p] < threshold)
-                        continue;
-                    attempt_routes(p, age[p]);
-                }
+    const std::uint8_t *age = pt.age_data();
+    const std::uint64_t *zswap_w = pt.in_zswap_words();
+    const std::uint64_t *far_w = pt.in_far_words();
+    const std::uint64_t *unev_w = pt.unevictable_words();
+    const std::uint64_t *acc_w = pt.accessed_words();
+    const std::uint64_t *incompr_w =
+        all_reject_incompressible ? pt.incompressible_words() : nullptr;
+    const std::uint32_t regions = pt.num_summary_regions();
+    for (std::uint32_t r = 0; r < regions; ++r) {
+        if (has_huge && cg.region_is_huge(r))
+            continue;  // not demotable until split
+        const PageId first = r * kPageRegionPages;
+        const PageId end =
+            first + kPageRegionPages < n ? first + kPageRegionPages : n;
+        result.pages_walked += end - first;
+        if (pt.region_max_age(r) < threshold)
+            continue;  // no page in the region is old enough
+        const std::size_t w0 = PageTable::word_of(first);
+        const std::size_t w1 = (static_cast<std::size_t>(end) + 63) / 64;
+        for (std::size_t w = w0; w < w1; ++w) {
+            std::uint64_t skip =
+                zswap_w[w] | far_w[w] | unev_w[w] | acc_w[w];
+            if (incompr_w != nullptr)
+                skip |= incompr_w[w];
+            std::uint64_t cand = ~skip & pt.live_mask(w);
+            while (cand != 0) {
+                int b = std::countr_zero(cand);
+                cand &= cand - 1;
+                PageId p = static_cast<PageId>(w * 64) +
+                           static_cast<PageId>(b);
+                if (age[p] < threshold)
+                    continue;
+                attempt_routes(p, age[p]);
             }
-        }
-    } else {
-        const std::uint8_t skip_flags =
-            all_reject_incompressible
-                ? static_cast<std::uint8_t>(kNotDemotable |
-                                            kPageIncompressible)
-                : kNotDemotable;
-        for (PageId p = 0; p < n; ++p) {
-            if (has_huge && cg.region_is_huge(Memcg::region_of(p)))
-                continue;  // not demotable until split
-            ++result.pages_walked;
-            std::uint8_t flags = pt.flags(p);
-            if ((flags & skip_flags) != 0 || pt.age(p) < threshold)
-                continue;
-            attempt_routes(p, pt.age(p));
         }
     }
     result.walk_cycles +=

@@ -35,11 +35,9 @@ ScanResult
 Kstaled::scan(Memcg &cg, std::uint32_t phase) const
 {
     ScanResult result;
-    cg.mutable_cold_hist().clear();
-
     std::uint32_t stride = params_.scan_stride == 0 ? 1
                                                     : params_.scan_stride;
-    if (cg.pages().layout() == PageLayout::kSoa && stride == 1)
+    if (stride == 1)
         scan_soa(cg, result);
     else
         scan_reference(cg, stride, phase, result);
@@ -235,6 +233,7 @@ Kstaled::scan_soa(Memcg &cg, ScanResult &result) const
 
     AgeHistogram &cold = cg.mutable_cold_hist();
     AgeHistogram &promo = cg.mutable_promo_hist();
+    cold.clear();
     for (std::size_t b = 0; b < kAgeBuckets; ++b) {
         if (cold_counts[b] != 0)
             cold.add(static_cast<AgeBucket>(b), cold_counts[b]);
@@ -250,6 +249,7 @@ Kstaled::scan_reference(Memcg &cg, std::uint32_t stride,
     PageTable &pt = cg.pages();
     AgeHistogram &promo = cg.mutable_promo_hist();
     AgeHistogram &cold = cg.mutable_cold_hist();
+    cold.clear();
     std::uint32_t n = cg.num_pages();
 
     // Huge-mapped regions have one PTE: a single accessed bit covers

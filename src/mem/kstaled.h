@@ -76,27 +76,30 @@ class Kstaled
 
     const KstaledParams &params() const { return params_; }
 
-  private:
     /**
-     * Hierarchical word-at-a-time walk for SoA tables at stride 1
-     * (the default config): per 512-page region, one OR over eight
-     * accessed words decides whether the region can take a bulk idle
-     * path (zero flag writes; a fully-saturated region is skipped
-     * with a single histogram add) or needs the per-word mixed path
-     * (popcount for the accessed counter, bit iteration only over
-     * accessed pages). Region age summaries are set exactly on the
-     * way through. Transition-identical to scan_reference().
-     */
-    void scan_soa(Memcg &cg, ScanResult &result) const;
-
-    /**
-     * Reference per-page walk: any layout, any stride. Huge regions
-     * are resolved in a single pass (test, age, promotion and cold
-     * histograms together); SoA region summaries are rebuilt at the
-     * end so the reclaim fast path stays sound under striping.
+     * Reference per-page walk at any stride: what scan() runs when
+     * scan_stride > 1, and the oracle tests hold scan_soa() to at
+     * stride 1. Huge regions are resolved in a single pass (test,
+     * age, promotion and cold histograms together); region summaries
+     * are rebuilt at the end so the reclaim fast path stays sound
+     * under striping. Adds to @p result's page counters, not to its
+     * cpu_cycles, and records no metrics.
      */
     void scan_reference(Memcg &cg, std::uint32_t stride,
                         std::uint32_t phase, ScanResult &result) const;
+
+  private:
+    /**
+     * Hierarchical word-at-a-time walk at stride 1 (the default
+     * config): per 512-page region, one OR over eight accessed words
+     * decides whether the region can take a bulk idle path (zero flag
+     * writes; a fully-saturated region is skipped with a single
+     * histogram add) or needs the per-word mixed path (popcount for
+     * the accessed counter, bit iteration only over accessed pages).
+     * Region age summaries are set exactly on the way through.
+     * Transition-identical to scan_reference() at stride 1.
+     */
+    void scan_soa(Memcg &cg, ScanResult &result) const;
 
     KstaledParams params_;
 

@@ -1,17 +1,16 @@
 /**
  * @file
- * Per-page metadata, the analog of the bits our kernel packs into
- * struct page (Section 5.1): an 8-bit age in kstaled scan periods,
- * the PTE accessed/dirty bits, the incompressible mark, and
- * evictability.
+ * Page identity and the per-page flag bits, the analog of the bits
+ * our kernel packs into struct page (Section 5.1): the PTE
+ * accessed/dirty bits, the incompressible mark, evictability and
+ * far-memory residency. PageTable (page_table.h) stores them, with
+ * the 8-bit age in kstaled scan periods, for one address space.
  */
 
 #ifndef SDFM_MEM_PAGE_H
 #define SDFM_MEM_PAGE_H
 
 #include <cstdint>
-
-#include "compression/page_content.h"
 
 namespace sdfm {
 
@@ -48,33 +47,6 @@ enum PageFlag : std::uint8_t
      * tracked per page by the owning Memcg.
      */
     kPageInFarTier = 1 << 5,
-};
-
-/**
- * Metadata for one 4 KiB page. Content bytes are never stored: they
- * are regenerable from (job content seed, page id, version).
- */
-struct PageMeta
-{
-    /** Age in scan periods since last observed access (saturating). */
-    std::uint8_t age = 0;
-
-    /** PageFlag bits. */
-    std::uint8_t flags = 0;
-
-    /** Compressibility class of the current contents. */
-    ContentClass content = ContentClass::kStructured;
-
-    /** Bumped on every write; changes the content seed. */
-    std::uint16_t version = 0;
-
-    bool test(PageFlag f) const { return (flags & f) != 0; }
-    void set(PageFlag f) { flags = static_cast<std::uint8_t>(flags | f); }
-    void
-    clear(PageFlag f)
-    {
-        flags = static_cast<std::uint8_t>(flags & ~f);
-    }
 };
 
 /** Deterministic content seed for a page's current contents. */

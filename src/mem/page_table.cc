@@ -12,42 +12,16 @@ constexpr std::uint8_t kKnownFlags =
     kPageAccessed | kPageDirty | kPageUnevictable | kPageIncompressible |
     kPageInZswap | kPageInFarTier;
 
-PageLayout g_default_layout = PageLayout::kSoa;
-
 }  // namespace
-
-PageLayout
-default_page_layout()
-{
-    return g_default_layout;
-}
-
-void
-set_default_page_layout(PageLayout layout)
-{
-    g_default_layout = layout;
-}
-
-PageTable::PageTable(std::uint32_t num_pages, PageLayout layout)
-    : layout_(layout)
-{
-    resize(num_pages);
-}
 
 void
 PageTable::resize(std::uint32_t num_pages)
 {
     SDFM_ASSERT(num_pages > 0);
     num_pages_ = num_pages;
-    if (layout_ == PageLayout::kAos) {
-        aos_.assign(num_pages, PageMeta{});
-        return;
-    }
     std::size_t words = (static_cast<std::size_t>(num_pages) + 63) / 64;
     age_.assign(num_pages, 0);
     version_.assign(num_pages, 0);
-    // Match PageMeta's default content class so a freshly resized
-    // table is field-identical between the two layouts.
     content_.assign(num_pages,
                     static_cast<std::uint8_t>(ContentClass::kStructured));
     accessed_.assign(words, 0);
@@ -63,8 +37,6 @@ PageTable::resize(std::uint32_t num_pages)
 void
 PageTable::rebuild_region_summaries()
 {
-    if (layout_ == PageLayout::kAos)
-        return;
     std::uint32_t regions = num_summary_regions();
     for (std::uint32_t r = 0; r < regions; ++r) {
         PageId first = r * kPageRegionPages;
@@ -87,15 +59,6 @@ PageTable::rebuild_region_summaries()
 void
 PageTable::state_digest(StateDigest &d) const
 {
-    if (layout_ == PageLayout::kAos) {
-        for (const PageMeta &meta : aos_) {
-            d.mix(static_cast<std::uint64_t>(meta.age) << 32 |
-                  static_cast<std::uint64_t>(meta.flags) << 24 |
-                  static_cast<std::uint64_t>(meta.version) << 8 |
-                  static_cast<std::uint64_t>(meta.content));
-        }
-        return;
-    }
     for (PageId p = 0; p < num_pages_; ++p) {
         std::size_t w = word_of(p);
         std::uint64_t m = bit_of(p);
@@ -122,15 +85,6 @@ void
 PageTable::ckpt_save(Serializer &s) const
 {
     s.put_u64(num_pages_);
-    if (layout_ == PageLayout::kAos) {
-        for (const PageMeta &meta : aos_) {
-            s.put_u8(meta.age);
-            s.put_u8(meta.flags);
-            s.put_u8(static_cast<std::uint8_t>(meta.content));
-            s.put_u16(meta.version);
-        }
-        return;
-    }
     for (PageId p = 0; p < num_pages_; ++p) {
         std::size_t w = word_of(p);
         std::uint64_t m = bit_of(p);
@@ -179,13 +133,6 @@ PageTable::ckpt_load(Deserializer &d, std::uint64_t &flagged_zswap,
             ++flagged_zswap;
         if (f & kPageInFarTier)
             ++flagged_tier;
-        if (layout_ == PageLayout::kAos) {
-            aos_[p].age = age;
-            aos_[p].flags = f;
-            aos_[p].content = static_cast<ContentClass>(content);
-            aos_[p].version = version;
-            continue;
-        }
         std::size_t w = word_of(p);
         std::uint64_t m = bit_of(p);
         age_[p] = age;
@@ -214,16 +161,10 @@ PageTable::check_invariants() const
     if constexpr (!kInvariantsEnabled)
         return;
 
-    if (layout_ == PageLayout::kAos) {
-        SDFM_INVARIANT(aos_.size() == num_pages_ && age_.empty() &&
-                           accessed_.empty() && region_min_age_.empty(),
-                       "AoS mode populates exactly the AoS storage");
-        return;
-    }
-    SDFM_INVARIANT(aos_.empty() && age_.size() == num_pages_ &&
+    SDFM_INVARIANT(age_.size() == num_pages_ &&
                        version_.size() == num_pages_ &&
                        content_.size() == num_pages_,
-                   "SoA mode populates exactly the SoA storage");
+                   "every per-page array covers the address space");
     std::size_t words = (static_cast<std::size_t>(num_pages_) + 63) / 64;
     SDFM_INVARIANT(accessed_.size() == words && dirty_.size() == words &&
                        unevictable_.size() == words &&

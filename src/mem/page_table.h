@@ -2,10 +2,9 @@
  * @file
  * Struct-of-arrays page metadata for one memcg.
  *
- * The per-page state that used to live in a `std::vector<PageMeta>`
- * (array-of-structs) is split by field: a contiguous 8-bit age array,
- * a 16-bit version array, an 8-bit content-class array, and one
- * packed 64-bit bitset per PageFlag. The hot loops (kstaled's scan,
+ * Per-page state is split by field: a contiguous 8-bit age array, a
+ * 16-bit version array, an 8-bit content-class array, and one packed
+ * 64-bit bitset per PageFlag. The hot loops (kstaled's scan,
  * kreclaimd's plan walk) then work word-at-a-time: a fully-idle
  * 64-page word is skipped with one load, counters come from popcount,
  * and flag transitions touch one cache line per 64 pages instead of
@@ -18,12 +17,10 @@
  * walk, collapsed to two levels. The summaries are conservative
  * bounds: scans set them exactly, point writes only widen them.
  *
- * The old layout is retained behind the same interface
- * (PageLayout::kAos) so `bench/fleet_scale --layout=aos` can measure
- * the refactor against the original memory layout, and so the digest
- * equality of the two layouts is testable at runtime. Digest order,
- * checkpoint wire bytes, and every observable transition are
- * layout-independent by contract.
+ * Digest order and checkpoint wire bytes are per-page records in page
+ * order (see state_digest() and ckpt_save()); tests/page_table_test.cc
+ * holds every accessor, the digest fold and the wire bytes to a
+ * one-record-per-page reference model.
  */
 
 #ifndef SDFM_MEM_PAGE_TABLE_H
@@ -33,30 +30,13 @@
 #include <vector>
 
 #include "ckpt/checkpoint.h"
+#include "compression/page_content.h"
 #include "mem/page.h"
 #include "util/logging.h"
 
 namespace sdfm {
 
 class StateDigest;
-
-/** Physical layout of the per-page metadata. */
-enum class PageLayout : std::uint8_t
-{
-    /** Struct-of-arrays with bitset fast paths (the default). */
-    kSoa = 0,
-
-    /** The historical array-of-PageMeta layout (bench baseline). */
-    kAos = 1,
-};
-
-/**
- * Process-wide layout for newly constructed tables. Benchmarks set
- * this once, before any Memcg is built; trajectories are identical
- * either way, so it is a performance knob, never a semantic one.
- */
-PageLayout default_page_layout();
-void set_default_page_layout(PageLayout layout);
 
 /**
  * Pages per summary region. Must equal kHugeRegionPages (memcg.h
@@ -66,22 +46,17 @@ void set_default_page_layout(PageLayout layout);
  */
 inline constexpr std::uint32_t kPageRegionPages = 512;
 
-/** 64-bit words per summary region. */
-inline constexpr std::uint32_t kPageRegionWords = kPageRegionPages / 64;
-
-/** Per-page metadata for one address space, in either layout. */
+/** Per-page metadata for one address space. */
 class PageTable
 {
   public:
-    PageTable() : layout_(default_page_layout()) {}
-    explicit PageTable(std::uint32_t num_pages,
-                       PageLayout layout = default_page_layout());
+    PageTable() = default;
+    explicit PageTable(std::uint32_t num_pages) { resize(num_pages); }
 
     /** Reset to @p num_pages zero-initialized pages (ckpt_load). */
     void resize(std::uint32_t num_pages);
 
     std::uint32_t size() const { return num_pages_; }
-    PageLayout layout() const { return layout_; }
 
     // -- per-page accessors (the hottest calls in the simulator) -----
 
@@ -89,22 +64,18 @@ class PageTable
     age(PageId p) const
     {
         SDFM_ASSERT(p < num_pages_);
-        return layout_ == PageLayout::kSoa ? age_[p] : aos_[p].age;
+        return age_[p];
     }
 
     /**
-     * Point write of a page's age. In SoA mode the owning region's
-     * summary is widened (never recomputed) so the bounds stay
-     * conservative; the next scan tightens them.
+     * Point write of a page's age. The owning region's summary is
+     * widened (never recomputed) so the bounds stay conservative; the
+     * next scan tightens them.
      */
     void
     set_age(PageId p, std::uint8_t a)
     {
         SDFM_ASSERT(p < num_pages_);
-        if (layout_ == PageLayout::kAos) {
-            aos_[p].age = a;
-            return;
-        }
         age_[p] = a;
         std::uint32_t r = p / kPageRegionPages;
         if (a < region_min_age_[r])
@@ -117,7 +88,7 @@ class PageTable
     version(PageId p) const
     {
         SDFM_ASSERT(p < num_pages_);
-        return layout_ == PageLayout::kSoa ? version_[p] : aos_[p].version;
+        return version_[p];
     }
 
     /** Contents changed: rotate the page's content seed. */
@@ -125,37 +96,27 @@ class PageTable
     bump_version(PageId p)
     {
         SDFM_ASSERT(p < num_pages_);
-        if (layout_ == PageLayout::kSoa)
-            ++version_[p];
-        else
-            ++aos_[p].version;
+        ++version_[p];
     }
 
     ContentClass
     content(PageId p) const
     {
         SDFM_ASSERT(p < num_pages_);
-        return layout_ == PageLayout::kSoa
-                   ? static_cast<ContentClass>(content_[p])
-                   : aos_[p].content;
+        return static_cast<ContentClass>(content_[p]);
     }
 
     void
     set_content(PageId p, ContentClass c)
     {
         SDFM_ASSERT(p < num_pages_);
-        if (layout_ == PageLayout::kSoa)
-            content_[p] = static_cast<std::uint8_t>(c);
-        else
-            aos_[p].content = c;
+        content_[p] = static_cast<std::uint8_t>(c);
     }
 
     bool
     test(PageId p, PageFlag f) const
     {
         SDFM_ASSERT(p < num_pages_);
-        if (layout_ == PageLayout::kAos)
-            return aos_[p].test(f);
         return (bits(f)[word_of(p)] & bit_of(p)) != 0;
     }
 
@@ -163,20 +124,14 @@ class PageTable
     set(PageId p, PageFlag f)
     {
         SDFM_ASSERT(p < num_pages_);
-        if (layout_ == PageLayout::kAos)
-            aos_[p].set(f);
-        else
-            bits(f)[word_of(p)] |= bit_of(p);
+        bits(f)[word_of(p)] |= bit_of(p);
     }
 
     void
     clear(PageId p, PageFlag f)
     {
         SDFM_ASSERT(p < num_pages_);
-        if (layout_ == PageLayout::kAos)
-            aos_[p].clear(f);
-        else
-            bits(f)[word_of(p)] &= ~bit_of(p);
+        bits(f)[word_of(p)] &= ~bit_of(p);
     }
 
     /** All six flag bits of one page, gathered into PageFlag form. */
@@ -184,8 +139,6 @@ class PageTable
     flags(PageId p) const
     {
         SDFM_ASSERT(p < num_pages_);
-        if (layout_ == PageLayout::kAos)
-            return aos_[p].flags;
         std::size_t w = word_of(p);
         std::uint64_t m = bit_of(p);
         std::uint8_t f = 0;
@@ -205,19 +158,16 @@ class PageTable
     }
 
     /** Resident in any far tier (zswap or deep)? The touch() fast
-     *  path: two word loads in SoA mode. */
+     *  path: two word loads. */
     bool
     in_far_memory(PageId p) const
     {
         SDFM_ASSERT(p < num_pages_);
-        if (layout_ == PageLayout::kAos) {
-            return (aos_[p].flags & (kPageInZswap | kPageInFarTier)) != 0;
-        }
         std::size_t w = word_of(p);
         return ((in_zswap_[w] | in_far_[w]) & bit_of(p)) != 0;
     }
 
-    // -- word-level access (SoA fast paths; asserted SoA-only) -------
+    // -- word-level access (the scan/reclaim fast paths) -------------
 
     static std::size_t word_of(PageId p) { return p >> 6; }
     static std::uint64_t bit_of(PageId p) { return 1ULL << (p & 63); }
@@ -236,34 +186,19 @@ class PageTable
         return rem >= 64 ? ~0ULL : (1ULL << rem) - 1;
     }
 
-    std::uint8_t *age_data() { return soa_check(age_).data(); }
-    const std::uint8_t *age_data() const
-    {
-        return soa_check(age_).data();
-    }
-    std::uint64_t *accessed_words()
-    {
-        return soa_check(accessed_).data();
-    }
-    std::uint64_t *dirty_words() { return soa_check(dirty_).data(); }
-    std::uint64_t *incompressible_words()
-    {
-        return soa_check(incompressible_).data();
-    }
+    std::uint8_t *age_data() { return age_.data(); }
+    const std::uint8_t *age_data() const { return age_.data(); }
+    std::uint64_t *accessed_words() { return accessed_.data(); }
+    std::uint64_t *dirty_words() { return dirty_.data(); }
+    std::uint64_t *incompressible_words() { return incompressible_.data(); }
     const std::uint64_t *unevictable_words() const
     {
-        return soa_check(unevictable_).data();
+        return unevictable_.data();
     }
-    const std::uint64_t *in_zswap_words() const
-    {
-        return soa_check(in_zswap_).data();
-    }
-    const std::uint64_t *in_far_words() const
-    {
-        return soa_check(in_far_).data();
-    }
+    const std::uint64_t *in_zswap_words() const { return in_zswap_.data(); }
+    const std::uint64_t *in_far_words() const { return in_far_.data(); }
 
-    // -- region summaries (SoA only) ---------------------------------
+    // -- region summaries --------------------------------------------
 
     /** Regions covering the address space. */
     std::uint32_t
@@ -298,22 +233,6 @@ class PageTable
         region_max_age_[r] = max_age;
     }
 
-    /** OR of the region's accessed words: zero means no page in the
-     *  region was touched since the last scan. */
-    std::uint64_t
-    region_accessed_or(std::uint32_t r) const
-    {
-        SDFM_ASSERT(layout_ == PageLayout::kSoa);
-        std::size_t w0 = static_cast<std::size_t>(r) * kPageRegionWords;
-        std::size_t w1 = w0 + kPageRegionWords;
-        if (w1 > accessed_.size())
-            w1 = accessed_.size();
-        std::uint64_t acc = 0;
-        for (std::size_t w = w0; w < w1; ++w)
-            acc |= accessed_[w];
-        return acc;
-    }
-
     /** Recompute every region summary from the age array. */
     void rebuild_region_summaries();
 
@@ -321,14 +240,13 @@ class PageTable
 
     /**
      * Fold every page as (age<<32 | flags<<24 | version<<8 | content)
-     * in page order -- byte-identical to the pre-SoA Memcg digest,
-     * and identical between the two layouts.
+     * in page order.
      */
     void state_digest(StateDigest &d) const;
 
     /**
-     * Wire format (unchanged from the AoS Memcg): page count, then
-     * per page age u8, flags u8, content u8, version u16.
+     * Wire format: page count, then per page age u8, flags u8,
+     * content u8, version u16.
      */
     void ckpt_save(Serializer &s) const;
 
@@ -343,10 +261,10 @@ class PageTable
                    std::uint64_t &flagged_tier);
 
     /**
-     * Layout-internal consistency (SDFM_INVARIANT tier): exactly one
-     * layout's storage is populated, bitset tail bits beyond the last
-     * page are zero, and every page's age lies inside its region
-     * summary. A no-op unless SDFM_CHECK_INVARIANTS.
+     * Internal consistency (SDFM_INVARIANT tier): every array covers
+     * the address space, bitset tail bits beyond the last page are
+     * zero, and every page's age lies inside its region summary. A
+     * no-op unless SDFM_CHECK_INVARIANTS.
      */
     void check_invariants() const;
 
@@ -376,22 +294,8 @@ class PageTable
         return const_cast<PageTable *>(this)->bits(f);
     }
 
-    template <typename V>
-    V &
-    soa_check(V &v) const
-    {
-        SDFM_ASSERT(layout_ == PageLayout::kSoa);
-        return v;
-    }
-
-    // sdfm-state: config(physical layout only; both layouts produce
-    // identical digests and identical checkpoint bytes, so the choice
-    // never needs to survive a restore)
-    PageLayout layout_ = PageLayout::kSoa;  // ctors overwrite from the
-                                            // process default
     std::uint32_t num_pages_ = 0;
 
-    // SoA storage (empty in AoS mode).
     std::vector<std::uint8_t> age_;
     std::vector<std::uint16_t> version_;
     std::vector<std::uint8_t> content_;
@@ -403,7 +307,7 @@ class PageTable
     std::vector<std::uint64_t> in_far_;
 
     /**
-     * Per-region conservative [min, max] age bounds, SoA only.
+     * Per-region conservative [min, max] age bounds.
      * sdfm-state: derived(tightened to exact by every scan, widened
      * by point writes, rebuilt from the age array on restore; the
      * ages they summarize are digested and serialized, so drift here
@@ -412,9 +316,6 @@ class PageTable
     std::vector<std::uint8_t> region_min_age_;
     // sdfm-state: derived(see region_min_age_)
     std::vector<std::uint8_t> region_max_age_;
-
-    // AoS storage (empty in SoA mode).
-    std::vector<PageMeta> aos_;
 };
 
 }  // namespace sdfm

@@ -3,17 +3,24 @@
  * Tests for the kernel substrate: memcg page-state transitions,
  * kstaled aging and histogram semantics (including the paper's
  * Section 4.3 worked example), kreclaimd eligibility and thresholds,
- * and the zswap store/load/drop paths.
+ * the zswap store/load/drop paths, and per-page oracles for the
+ * word-level kstaled and kreclaimd walks.
  */
 
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <vector>
 
 #include "compression/compressor.h"
 #include "mem/kreclaimd.h"
 #include "mem/kstaled.h"
 #include "mem/memcg.h"
+#include "mem/tier_stack.h"
 #include "mem/zswap.h"
+#include "util/digest.h"
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace sdfm {
 namespace {
@@ -510,6 +517,311 @@ TEST(KreclaimdTest, ZswapPagesAgeAndStayStored)
     rig.kreclaimd.reclaim_cold(rig.cg, rig.zswap);
     EXPECT_EQ(rig.cg.zswap_pages(), 4u);
     EXPECT_EQ(rig.cg.cold_pages_min_threshold(), 4u);
+}
+
+// ------------------------------------------- oracles for the word walks
+//
+// kstaled's stride-1 scan and kreclaimd's plan walk work a 64-page
+// word and a 512-page region at a time. These tests hold them to
+// per-page walks over randomized memcgs that contain every region
+// shape the word-level code special-cases.
+
+/** Six full summary regions, then a 100-page tail region whose last
+ *  64-bit word is partial. */
+constexpr std::uint32_t kOraclePages = 6 * kPageRegionPages + 100;
+
+std::uint64_t
+page_digest(const Memcg &cg)
+{
+    StateDigest d;
+    cg.pages().state_digest(d);
+    return d.value();
+}
+
+/** Every region summary equals the exact [min, max] of its ages. */
+void
+expect_exact_summaries(const PageTable &pt)
+{
+    for (std::uint32_t r = 0; r < pt.num_summary_regions(); ++r) {
+        PageId first = r * kPageRegionPages;
+        PageId end = std::min(first + kPageRegionPages, pt.size());
+        std::uint8_t mn = 255;
+        std::uint8_t mx = 0;
+        for (PageId p = first; p < end; ++p) {
+            mn = std::min(mn, pt.age(p));
+            mx = std::max(mx, pt.age(p));
+        }
+        EXPECT_EQ(pt.region_min_age(r), mn) << "region " << r;
+        EXPECT_EQ(pt.region_max_age(r), mx) << "region " << r;
+    }
+}
+
+/**
+ * Seeded scan input, one region of each shape:
+ *   0, 6  mixed (6 is the partial tail): random ages and bits;
+ *   1     idle, no page past 200 except the first 8 of each word,
+ *         which sit at 255;
+ *   2     saturated: every page idle at 255;
+ *   3     mostly saturated, with young pages breaking the 255 runs
+ *         and a few accessed pages;
+ *   4     huge, one page accessed;
+ *   5     huge, idle.
+ * Summaries are then rebuilt exact, as a restore leaves them, so the
+ * saturated region qualifies for the bulk skip.
+ */
+void
+fill_scan_regions(Memcg &cg, std::uint64_t seed)
+{
+    Rng rng(seed);
+    cg.map_huge_region(4 * kPageRegionPages);
+    cg.map_huge_region(5 * kPageRegionPages);
+    for (PageId p = 0; p < cg.num_pages(); ++p) {
+        std::uint32_t r = Memcg::region_of(p);
+        auto age = static_cast<std::uint8_t>(rng.next_below(256));
+        double accessed = 0.0;
+        if (r == 0 || r == 6)
+            accessed = 0.3;
+        if (r == 1 && p % 64 < 8)
+            age = 255;
+        else if (r == 1)
+            age = static_cast<std::uint8_t>(age % 200);
+        if (r == 2 || (r == 3 && rng.next_bool(0.9)))
+            age = 255;
+        if (r == 3)
+            accessed = 0.02;
+        if (r == 4 && p == 4 * kPageRegionPages + 77)
+            accessed = 1.0;
+        cg.set_page_age(p, age);
+        if (rng.next_bool(accessed))
+            cg.page_set(p, kPageAccessed);
+        if (rng.next_bool(0.3))
+            cg.page_set(p, kPageDirty);
+        if (rng.next_bool(0.2))
+            cg.page_set(p, kPageIncompressible);
+    }
+    cg.pages().rebuild_region_summaries();
+}
+
+TEST(WalkOracle, ScanSoaMatchesReferenceWalk)
+{
+    Kstaled kstaled;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        Memcg fast(1, kOraclePages, 42, compressible_mix(), 0);
+        Memcg ref(1, kOraclePages, 42, compressible_mix(), 0);
+        fill_scan_regions(fast, seed);
+        fill_scan_regions(ref, seed);
+        Rng touches(seed + 100);
+        for (int round = 0; round < 4; ++round) {
+            ScanResult got = kstaled.scan(fast);  // stride 1: scan_soa
+            ScanResult want;
+            kstaled.scan_reference(ref, 1, 0, want);
+            EXPECT_EQ(got.pages_scanned, want.pages_scanned);
+            EXPECT_EQ(got.accessed_pages, want.accessed_pages);
+            EXPECT_TRUE(fast.cold_hist() == ref.cold_hist());
+            EXPECT_TRUE(fast.promo_hist() == ref.promo_hist());
+            EXPECT_EQ(page_digest(fast), page_digest(ref))
+                << "seed " << seed << " round " << round;
+            expect_exact_summaries(fast.pages());
+            expect_exact_summaries(ref.pages());
+
+            // Fresh accesses before the next scan, and a point write
+            // that widens the saturated region's summary down to 254.
+            for (int i = 0; i < 300; ++i) {
+                auto p = static_cast<PageId>(
+                    touches.next_below(kOraclePages));
+                bool write = touches.next_bool(0.3);
+                for (Memcg *cg : {&fast, &ref}) {
+                    cg->page_set(p, kPageAccessed);
+                    if (write)
+                        cg->page_set(p, kPageDirty);
+                }
+            }
+            for (Memcg *cg : {&fast, &ref}) {
+                for (PageId p = 2 * kPageRegionPages;
+                     p < 3 * kPageRegionPages; ++p) {
+                    cg->page_clear(p, kPageAccessed);
+                }
+                cg->set_page_age(2 * kPageRegionPages + 5, 254);
+            }
+        }
+    }
+}
+
+/** A deep tier that takes every page and records the order of the
+ *  store attempts it sees. */
+class RecordingTier : public FarTier
+{
+  public:
+    TierKind kind() const override { return TierKind::kNvm; }
+    bool has_space() const override { return true; }
+
+    bool
+    store(Memcg &, PageId p) override
+    {
+        attempts.push_back(p);
+        return true;
+    }
+
+    void load(Memcg &, PageId) override {}
+    void drop(Memcg &, PageId) override {}
+    void drop_all(Memcg &) override {}
+    std::uint64_t used_pages() const override { return attempts.size(); }
+
+    std::uint64_t
+    capacity_pages() const override
+    {
+        return std::numeric_limits<std::uint64_t>::max();
+    }
+
+    void ckpt_save(Serializer &) const override {}
+    bool ckpt_load(Deserializer &) override { return true; }
+
+    std::vector<PageId> attempts;
+};
+
+constexpr AgeBucket kOracleThreshold = 6;
+
+/**
+ * Seeded reclaim input at threshold kOracleThreshold (T), with every
+ * disqualifying flag scattered over the pages and these regions:
+ *   0, 1, 6  mixed (6 is the partial tail), ages in [0, 2T) or 255;
+ *   2        every age below T except one page that a point write
+ *            made older after the summaries were rebuilt;
+ *   3        huge and cold at its first page: the pass splits it;
+ *   4        huge and accessed at its first page: it stays mapped;
+ *   5        every age exactly T.
+ */
+void
+fill_reclaim_regions(Memcg &cg, std::uint64_t seed)
+{
+    constexpr AgeBucket t = kOracleThreshold;
+    constexpr PageId kHugeCold = 3 * kPageRegionPages;
+    constexpr PageId kHugeHot = 4 * kPageRegionPages;
+    Rng rng(seed);
+    cg.map_huge_region(kHugeCold);
+    cg.map_huge_region(kHugeHot);
+    for (PageId p = 0; p < cg.num_pages(); ++p) {
+        std::uint32_t r = Memcg::region_of(p);
+        auto age = static_cast<std::uint8_t>(rng.next_below(2 * t));
+        if (rng.next_bool(0.1))
+            age = 255;
+        if (r == 2)
+            age = static_cast<std::uint8_t>(rng.next_below(t));
+        if (r == 5)
+            age = t;
+        cg.set_page_age(p, age);
+        if (!cg.region_is_huge(r) && rng.next_bool(0.2))
+            cg.page_set(p, rng.next_bool(0.5) ? kPageInZswap
+                                              : kPageInFarTier);
+        if (rng.next_bool(0.1))
+            cg.page_set(p, kPageUnevictable);
+        if (rng.next_bool(0.1))
+            cg.page_set(p, kPageAccessed);
+        if (rng.next_bool(0.15))
+            cg.page_set(p, kPageIncompressible);
+    }
+    cg.set_page_age(kHugeCold, t);
+    cg.page_clear(kHugeCold, kPageAccessed);
+    cg.page_set(kHugeHot, kPageAccessed);
+    cg.pages().rebuild_region_summaries();
+
+    constexpr PageId kWidened = 2 * kPageRegionPages + 300;
+    cg.set_page_age(kWidened, t + 3);
+    for (PageFlag f : {kPageInZswap, kPageInFarTier, kPageUnevictable,
+                       kPageAccessed, kPageIncompressible}) {
+        cg.page_clear(kWidened, f);
+    }
+}
+
+/**
+ * The per-page reclaim walk: in page order, every page of age >= T
+ * that is not in zswap or a deep tier, unevictable, or accessed, and
+ * not in a huge region the pass leaves mapped (one whose first page is
+ * accessed or younger than T). Incompressible-marked pages are skipped
+ * only when every route's tier would reject them.
+ */
+std::vector<PageId>
+oracle_reclaim_walk(const Memcg &cg, bool every_route_rejects_incompressible)
+{
+    AgeBucket t = cg.reclaim_threshold();
+    std::uint8_t skip = kPageInZswap | kPageInFarTier | kPageUnevictable |
+                        kPageAccessed;
+    if (every_route_rejects_incompressible)
+        skip |= kPageIncompressible;
+    std::vector<PageId> pages;
+    for (PageId p = 0; p < cg.num_pages(); ++p) {
+        std::uint32_t r = Memcg::region_of(p);
+        PageId first = r * kHugeRegionPages;
+        bool stays_huge = cg.region_is_huge(r) &&
+                          (cg.page_age(first) < t ||
+                           cg.page_test(first, kPageAccessed));
+        if (!stays_huge && (cg.page_flags(p) & skip) == 0 &&
+            cg.page_age(p) >= t) {
+            pages.push_back(p);
+        }
+    }
+    return pages;
+}
+
+TEST(WalkOracle, ReclaimAttemptsThePerPageSelectionInOrder)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        auto compressor = make_compressor(CompressionMode::kModeled);
+        Zswap zswap(compressor.get(), 1);
+        RecordingTier recorder;
+        TierStack stack;
+        TierSpec base;
+        base.label = "zswap";
+        stack.set_base(base, &zswap);
+        TierSpec deep;
+        deep.label = "recorder";  // band [T, inf): sees every attempt
+        stack.add_tier(deep, &recorder);
+
+        Memcg cg(1, kOraclePages, 42, compressible_mix(), 0);
+        cg.set_zswap_enabled(true);
+        cg.set_reclaim_threshold(kOracleThreshold);
+        fill_reclaim_regions(cg, seed);
+        // The recorder accepts incompressible pages, so marked pages
+        // stay candidates.
+        std::vector<PageId> want = oracle_reclaim_walk(cg, false);
+
+        DemotionPlan plan;
+        BandRoutingPolicy().plan(stack, plan);
+        ReclaimResult result = Kreclaimd().reclaim_cold(cg, plan);
+        EXPECT_EQ(recorder.attempts, want) << "seed " << seed;
+        EXPECT_EQ(result.pages_to_tier, want.size());
+        EXPECT_EQ(result.huge_splits, 1u);
+        EXPECT_EQ(result.pages_walked, kOraclePages - kPageRegionPages);
+        EXPECT_EQ(zswap.stats().stores, 0u);
+    }
+}
+
+TEST(WalkOracle, ZswapOnlyReclaimSkipsIncompressibleMarks)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        // Some contents compress, some do not: an attempt either
+        // stores the page or marks it incompressible.
+        Rig rig(kOraclePages, ContentMix(0.0, 0.0, 0.7, 0.0, 0.3));
+        rig.cg.set_zswap_enabled(true);
+        rig.cg.set_reclaim_threshold(kOracleThreshold);
+        fill_reclaim_regions(rig.cg, seed);
+        std::vector<std::uint8_t> before(kOraclePages);
+        for (PageId p = 0; p < kOraclePages; ++p)
+            before[p] = rig.cg.page_flags(p);
+        std::vector<PageId> want = oracle_reclaim_walk(rig.cg, true);
+
+        ReclaimResult result = rig.kreclaimd.reclaim_cold(rig.cg, rig.zswap);
+        std::vector<PageId> attempted;
+        for (PageId p = 0; p < kOraclePages; ++p) {
+            auto gained = static_cast<std::uint8_t>(
+                rig.cg.page_flags(p) & ~before[p]);
+            if ((gained & (kPageInZswap | kPageIncompressible)) != 0)
+                attempted.push_back(p);
+        }
+        EXPECT_EQ(attempted, want) << "seed " << seed;
+        EXPECT_EQ(result.pages_stored + result.pages_rejected, want.size());
+        EXPECT_GT(result.pages_rejected, 0u);
+    }
 }
 
 }  // namespace

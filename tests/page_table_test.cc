@@ -1,22 +1,20 @@
 /**
  * @file
- * Tests for the struct-of-arrays PageTable: flag-bitset parity with
- * the historical PageMeta layout under randomized op sequences,
- * word-boundary and popcount edge cases, region-summary staleness
- * semantics (point writes widen, rebuilds tighten), SoA-vs-AoS digest
- * equality on a downscaled default fleet, and a full-machine
- * checkpoint round trip that crosses layouts mid-trajectory.
+ * Tests for the struct-of-arrays PageTable: every accessor, the
+ * digest fold and the checkpoint bytes against a one-record-per-page
+ * reference model under randomized op sequences, word-boundary and
+ * popcount edge cases, region-summary staleness semantics (point
+ * writes widen, rebuilds tighten), and pinned fleet digests that hold
+ * whole trajectories fixed.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cstdio>
-#include <string>
+#include <vector>
 
 #include "ckpt/checkpoint.h"
 #include "core/far_memory_system.h"
-#include "mem/memcg.h"
 #include "mem/page_table.h"
 #include "util/digest.h"
 #include "util/rng.h"
@@ -25,20 +23,30 @@
 namespace sdfm {
 namespace {
 
-/** RAII override of the process-wide default layout. */
-struct LayoutGuard
-{
-    explicit LayoutGuard(PageLayout layout) : saved(default_page_layout())
-    {
-        set_default_page_layout(layout);
-    }
-    ~LayoutGuard() { set_default_page_layout(saved); }
-    PageLayout saved;
-};
-
 constexpr PageFlag kAllFlags[] = {
     kPageAccessed,        kPageDirty,   kPageUnevictable,
     kPageIncompressible,  kPageInZswap, kPageInFarTier,
+};
+
+/**
+ * Reference model: one record per page, the layout page metadata had
+ * before PageTable split it by field. PageTable must agree with it on
+ * every accessor, on the digest fold and on the checkpoint bytes.
+ */
+struct PageMeta
+{
+    std::uint8_t age = 0;
+    std::uint8_t flags = 0;
+    ContentClass content = ContentClass::kStructured;
+    std::uint16_t version = 0;
+
+    bool test(PageFlag f) const { return (flags & f) != 0; }
+    void set(PageFlag f) { flags = static_cast<std::uint8_t>(flags | f); }
+    void
+    clear(PageFlag f)
+    {
+        flags = static_cast<std::uint8_t>(flags & ~f);
+    }
 };
 
 std::uint64_t
@@ -49,31 +57,80 @@ table_digest(const PageTable &pt)
     return d.value();
 }
 
-// ---------------------------------------------------------------------
-// Layout parity
-// ---------------------------------------------------------------------
-
-TEST(PageTable, FreshTablesOfBothLayoutsAgree)
+/** The digest fold: age<<32 | flags<<24 | version<<8 | content. */
+std::uint64_t
+oracle_digest(const std::vector<PageMeta> &pages)
 {
-    PageTable soa(1000, PageLayout::kSoa);
-    PageTable aos(1000, PageLayout::kAos);
-    EXPECT_EQ(soa.size(), 1000u);
-    EXPECT_EQ(aos.size(), 1000u);
-    EXPECT_EQ(table_digest(soa), table_digest(aos));
-    for (PageId p : {PageId{0}, PageId{63}, PageId{64}, PageId{999}}) {
-        EXPECT_EQ(soa.age(p), aos.age(p));
-        EXPECT_EQ(soa.flags(p), aos.flags(p));
-        EXPECT_EQ(soa.content(p), aos.content(p));
-        EXPECT_EQ(soa.content(p), ContentClass::kStructured);
-        EXPECT_EQ(soa.version(p), aos.version(p));
+    StateDigest d;
+    for (const PageMeta &meta : pages) {
+        d.mix(static_cast<std::uint64_t>(meta.age) << 32 |
+              static_cast<std::uint64_t>(meta.flags) << 24 |
+              static_cast<std::uint64_t>(meta.version) << 8 |
+              static_cast<std::uint64_t>(meta.content));
     }
+    return d.value();
 }
 
-TEST(PageTable, RandomOpSequenceKeepsLayoutsIdentical)
+/** The wire: page count, then per page age, flags, content, version. */
+std::vector<std::uint8_t>
+oracle_wire(const std::vector<PageMeta> &pages)
+{
+    Serializer s;
+    s.put_u64(pages.size());
+    for (const PageMeta &meta : pages) {
+        s.put_u8(meta.age);
+        s.put_u8(meta.flags);
+        s.put_u8(static_cast<std::uint8_t>(meta.content));
+        s.put_u16(meta.version);
+    }
+    return s.bytes();
+}
+
+void
+expect_page_matches(const PageTable &pt, const std::vector<PageMeta> &oracle,
+                    PageId p)
+{
+    const PageMeta &meta = oracle[p];
+    EXPECT_EQ(pt.age(p), meta.age) << "page " << p;
+    EXPECT_EQ(pt.version(p), meta.version) << "page " << p;
+    EXPECT_EQ(pt.content(p), meta.content) << "page " << p;
+    EXPECT_EQ(pt.flags(p), meta.flags) << "page " << p;
+    for (PageFlag f : kAllFlags)
+        EXPECT_EQ(pt.test(p, f), meta.test(f)) << "page " << p;
+    EXPECT_EQ(pt.in_far_memory(p),
+              meta.test(kPageInZswap) || meta.test(kPageInFarTier))
+        << "page " << p;
+}
+
+void
+expect_table_matches(const PageTable &pt, const std::vector<PageMeta> &oracle)
+{
+    ASSERT_EQ(pt.size(), oracle.size());
+    for (PageId p = 0; p < pt.size(); ++p)
+        expect_page_matches(pt, oracle, p);
+    EXPECT_EQ(table_digest(pt), oracle_digest(oracle));
+    Serializer s;
+    pt.ckpt_save(s);
+    EXPECT_EQ(s.bytes(), oracle_wire(oracle));
+}
+
+// ---------------------------------------------------------------------
+// Reference-model parity
+// ---------------------------------------------------------------------
+
+TEST(PageTable, FreshTableMatchesPageMetaOracle)
+{
+    PageTable pt(1000);
+    EXPECT_EQ(pt.size(), 1000u);
+    expect_table_matches(pt, std::vector<PageMeta>(1000));
+    EXPECT_EQ(pt.content(999), ContentClass::kStructured);
+}
+
+TEST(PageTable, RandomOpSequenceMatchesPageMetaOracle)
 {
     constexpr std::uint32_t kPages = 700;  // spans a partial region
-    PageTable soa(kPages, PageLayout::kSoa);
-    PageTable aos(kPages, PageLayout::kAos);
+    PageTable pt(kPages);
+    std::vector<PageMeta> oracle(kPages);
     Rng rng(7);
 
     for (int step = 0; step < 20000; ++step) {
@@ -81,42 +138,62 @@ TEST(PageTable, RandomOpSequenceKeepsLayoutsIdentical)
         PageFlag f = kAllFlags[rng.next_below(6)];
         switch (rng.next_below(5)) {
           case 0:
-            soa.set(p, f);
-            aos.set(p, f);
+            pt.set(p, f);
+            oracle[p].set(f);
             break;
           case 1:
-            soa.clear(p, f);
-            aos.clear(p, f);
+            pt.clear(p, f);
+            oracle[p].clear(f);
             break;
           case 2: {
             std::uint8_t a = static_cast<std::uint8_t>(rng.next_below(256));
-            soa.set_age(p, a);
-            aos.set_age(p, a);
+            pt.set_age(p, a);
+            oracle[p].age = a;
             break;
           }
           case 3:
-            soa.bump_version(p);
-            aos.bump_version(p);
+            pt.bump_version(p);
+            ++oracle[p].version;
             break;
-          default:
-            soa.set_content(p, static_cast<ContentClass>(
-                                   rng.next_below(static_cast<std::uint32_t>(
-                                       ContentClass::kNumClasses))));
-            aos.set_content(p, soa.content(p));
+          default: {
+            auto c = static_cast<ContentClass>(rng.next_below(
+                static_cast<std::uint32_t>(ContentClass::kNumClasses)));
+            pt.set_content(p, c);
+            oracle[p].content = c;
             break;
+          }
         }
-        EXPECT_EQ(soa.test(p, f), aos.test(p, f));
-        EXPECT_EQ(soa.flags(p), aos.flags(p));
-        EXPECT_EQ(soa.in_far_memory(p), aos.in_far_memory(p));
+        expect_page_matches(pt, oracle, p);
     }
-    EXPECT_EQ(table_digest(soa), table_digest(aos));
+    expect_table_matches(pt, oracle);
 
-    // And the wire bytes agree, both directions.
-    Serializer ss;
-    soa.ckpt_save(ss);
-    Serializer sa;
-    aos.ckpt_save(sa);
-    EXPECT_EQ(ss.bytes(), sa.bytes());
+    // Point writes only widened the summaries: they still bound every
+    // age, and a rebuild makes them exact.
+    for (PageId p = 0; p < kPages; ++p) {
+        std::uint32_t r = p / kPageRegionPages;
+        EXPECT_LE(pt.region_min_age(r), oracle[p].age) << p;
+        EXPECT_GE(pt.region_max_age(r), oracle[p].age) << p;
+    }
+    pt.check_invariants();
+
+    // The oracle's wire bytes restore to the same table.
+    std::vector<std::uint8_t> wire = oracle_wire(oracle);
+    PageTable back;
+    std::uint64_t flagged_zswap = 0;
+    std::uint64_t flagged_tier = 0;
+    Deserializer d(wire);
+    ASSERT_TRUE(back.ckpt_load(d, flagged_zswap, flagged_tier));
+    ASSERT_TRUE(d.at_end());
+    expect_table_matches(back, oracle);
+    std::uint64_t want_zswap = 0;
+    std::uint64_t want_tier = 0;
+    for (const PageMeta &meta : oracle) {
+        want_zswap += meta.test(kPageInZswap) ? 1u : 0u;
+        want_tier += meta.test(kPageInFarTier) ? 1u : 0u;
+    }
+    EXPECT_EQ(flagged_zswap, want_zswap);
+    EXPECT_EQ(flagged_tier, want_tier);
+    back.check_invariants();
 }
 
 // ---------------------------------------------------------------------
@@ -126,7 +203,7 @@ TEST(PageTable, RandomOpSequenceKeepsLayoutsIdentical)
 TEST(PageTable, LiveMaskCoversPartialTailWord)
 {
     for (std::uint32_t n : {63u, 64u, 65u, 128u, 700u}) {
-        PageTable pt(n, PageLayout::kSoa);
+        PageTable pt(n);
         std::size_t words = (n + 63) / 64;
         EXPECT_EQ(pt.num_words(), words) << n;
         for (std::size_t w = 0; w + 1 < words; ++w)
@@ -140,7 +217,7 @@ TEST(PageTable, LiveMaskCoversPartialTailWord)
 
 TEST(PageTable, TailBitsStayZeroAcrossSetsAtWordBoundaries)
 {
-    PageTable pt(65, PageLayout::kSoa);  // one full word + one bit
+    PageTable pt(65);  // one full word + one bit
     pt.set(63, kPageAccessed);
     pt.set(64, kPageAccessed);
     EXPECT_TRUE(pt.test(63, kPageAccessed));
@@ -159,7 +236,7 @@ TEST(PageTable, TailBitsStayZeroAcrossSetsAtWordBoundaries)
 TEST(PageTable, FlagsGatherMatchesPopulationCounts)
 {
     constexpr std::uint32_t kPages = 320;
-    PageTable pt(kPages, PageLayout::kSoa);
+    PageTable pt(kPages);
     Rng rng(11);
     std::uint64_t expect_accessed = 0;
     for (PageId p = 0; p < kPages; ++p) {
@@ -186,7 +263,7 @@ TEST(PageTable, FlagsGatherMatchesPopulationCounts)
 
 TEST(PageTable, PointWritesWidenSummariesAndRebuildTightens)
 {
-    PageTable pt(2 * kPageRegionPages, PageLayout::kSoa);
+    PageTable pt(2 * kPageRegionPages);
     EXPECT_EQ(pt.num_summary_regions(), 2u);
     // Fresh table: all ages zero, summaries exact.
     EXPECT_EQ(pt.region_min_age(0), 0);
@@ -209,23 +286,13 @@ TEST(PageTable, PointWritesWidenSummariesAndRebuildTightens)
     pt.check_invariants();
 }
 
-TEST(PageTable, RegionAccessedOrSeesAnyBitInTheRegion)
-{
-    PageTable pt(2 * kPageRegionPages, PageLayout::kSoa);
-    EXPECT_EQ(pt.region_accessed_or(0), 0u);
-    EXPECT_EQ(pt.region_accessed_or(1), 0u);
-    pt.set(kPageRegionPages + 17, kPageAccessed);
-    EXPECT_EQ(pt.region_accessed_or(0), 0u);
-    EXPECT_NE(pt.region_accessed_or(1), 0u);
-}
-
 // ---------------------------------------------------------------------
 // Checkpoint wire format
 // ---------------------------------------------------------------------
 
 TEST(PageTable, CkptRoundTripRestoresEveryField)
 {
-    PageTable pt(130, PageLayout::kSoa);
+    PageTable pt(130);
     pt.set_age(0, 9);
     pt.set_age(129, 255);
     pt.set(5, kPageInZswap);
@@ -237,38 +304,32 @@ TEST(PageTable, CkptRoundTripRestoresEveryField)
     Serializer s;
     pt.ckpt_save(s);
 
-    for (PageLayout layout : {PageLayout::kSoa, PageLayout::kAos}) {
-        LayoutGuard guard(layout);
-        PageTable back;
-        std::uint64_t flagged_zswap = 0;
-        std::uint64_t flagged_tier = 0;
-        Deserializer d(s.bytes());
-        ASSERT_TRUE(back.ckpt_load(d, flagged_zswap, flagged_tier));
-        ASSERT_TRUE(d.at_end());
-        EXPECT_EQ(back.layout(), layout);
-        EXPECT_EQ(flagged_zswap, 1u);
-        EXPECT_EQ(flagged_tier, 1u);
-        EXPECT_EQ(back.size(), 130u);
-        EXPECT_EQ(back.age(0), 9);
-        EXPECT_EQ(back.age(129), 255);
-        EXPECT_TRUE(back.test(5, kPageInZswap));
-        EXPECT_TRUE(back.test(64, kPageInFarTier));
-        EXPECT_TRUE(back.test(65, kPageUnevictable));
-        EXPECT_EQ(back.version(7), 1u);
-        EXPECT_EQ(back.content(8), ContentClass::kZero);
-        EXPECT_EQ(table_digest(back), table_digest(pt));
-        back.check_invariants();
-        if (layout == PageLayout::kSoa) {
-            // Summaries are rebuilt exactly on restore.
-            EXPECT_EQ(back.region_max_age(0), 255);
-            EXPECT_EQ(back.region_min_age(0), 0);
-        }
-    }
+    PageTable back;
+    std::uint64_t flagged_zswap = 0;
+    std::uint64_t flagged_tier = 0;
+    Deserializer d(s.bytes());
+    ASSERT_TRUE(back.ckpt_load(d, flagged_zswap, flagged_tier));
+    ASSERT_TRUE(d.at_end());
+    EXPECT_EQ(flagged_zswap, 1u);
+    EXPECT_EQ(flagged_tier, 1u);
+    EXPECT_EQ(back.size(), 130u);
+    EXPECT_EQ(back.age(0), 9);
+    EXPECT_EQ(back.age(129), 255);
+    EXPECT_TRUE(back.test(5, kPageInZswap));
+    EXPECT_TRUE(back.test(64, kPageInFarTier));
+    EXPECT_TRUE(back.test(65, kPageUnevictable));
+    EXPECT_EQ(back.version(7), 1u);
+    EXPECT_EQ(back.content(8), ContentClass::kZero);
+    EXPECT_EQ(table_digest(back), table_digest(pt));
+    back.check_invariants();
+    // Summaries are rebuilt exactly on restore.
+    EXPECT_EQ(back.region_max_age(0), 255);
+    EXPECT_EQ(back.region_min_age(0), 0);
 }
 
 TEST(PageTable, CkptLoadRejectsUnknownFlagBitsAndBadContent)
 {
-    PageTable pt(4, PageLayout::kSoa);
+    PageTable pt(4);
     Serializer good;
     pt.ckpt_save(good);
 
@@ -295,7 +356,7 @@ TEST(PageTable, CkptLoadRejectsUnknownFlagBitsAndBadContent)
 }
 
 // ---------------------------------------------------------------------
-// Whole-fleet layout equivalence
+// Pinned fleet trajectories
 // ---------------------------------------------------------------------
 
 FleetConfig
@@ -311,57 +372,45 @@ small_fleet_config()
     return config;
 }
 
-TEST(PageTableFleet, SoaAndAosFleetsProduceIdenticalTrajectories)
+/** Populate plus 20 serial steps; the digests after each end. */
+void
+expect_pinned_trajectory(const FleetConfig &config,
+                         std::uint64_t populated, std::uint64_t stepped)
 {
-    FleetConfig config = small_fleet_config();
-
-    LayoutGuard soa_guard(PageLayout::kSoa);
-    FarMemorySystem soa_fleet(config);
-    soa_fleet.populate();
-
-    set_default_page_layout(PageLayout::kAos);
-    FarMemorySystem aos_fleet(config);
-    aos_fleet.populate();
-    set_default_page_layout(PageLayout::kSoa);
-
-    EXPECT_EQ(soa_fleet.state_digest(), aos_fleet.state_digest());
-    for (int i = 0; i < 20; ++i) {
-        soa_fleet.step();
-        aos_fleet.step();
-        ASSERT_EQ(soa_fleet.state_digest(), aos_fleet.state_digest())
-            << "layouts diverged at step " << i;
-    }
+    FarMemorySystem fleet(config);
+    fleet.populate();
+    EXPECT_EQ(fleet.state_digest(), populated);
+    for (int i = 0; i < 20; ++i)
+        fleet.step();
+    EXPECT_EQ(fleet.state_digest(), stepped);
 }
 
-TEST(PageTableFleet, CheckpointCrossesLayoutsMidTrajectory)
+// The digests were captured from the build that still carried the
+// array-of-PageMeta layout, on a run where both layouts agreed after
+// populate and after every step.
+TEST(PageTableFleet, SmallFleetMatchesPinnedDigests)
 {
-    std::string path = "page_table_layout.ckpt";
+    expect_pinned_trajectory(small_fleet_config(), 0x18fc7d77a63b1127ULL,
+                             0x9dd1f6d88f745c1eULL);
+}
+
+// A quarter of every job's regions huge-mapped, and a small NVM tier
+// in the stack: kstaled takes its huge-region paths, and kreclaimd
+// runs with a route that accepts incompressible pages, so marked
+// pages stay demotion candidates.
+TEST(PageTableFleet, HugePageNvmFleetMatchesPinnedDigests)
+{
     FleetConfig config = small_fleet_config();
-
-    // Run and checkpoint an SoA fleet...
-    LayoutGuard guard(PageLayout::kSoa);
-    FarMemorySystem reference(config);
-    reference.populate();
-    for (int i = 0; i < 5; ++i)
-        reference.step();
-    ASSERT_EQ(reference.checkpoint(path), CkptStatus::kOk);
-
-    // ...restore it into an AoS fleet (checkpoint bytes are
-    // layout-independent by contract)...
-    set_default_page_layout(PageLayout::kAos);
-    FarMemorySystem resumed(config);
-    ASSERT_EQ(resumed.restore(path), CkptStatus::kOk);
-    set_default_page_layout(PageLayout::kSoa);
-    EXPECT_EQ(resumed.state_digest(), reference.state_digest());
-
-    // ...and the AoS continuation must track the SoA original.
-    for (int i = 0; i < 10; ++i) {
-        reference.step();
-        resumed.step();
-        ASSERT_EQ(resumed.state_digest(), reference.state_digest())
-            << "diverged " << i << " steps after cross-layout restore";
-    }
-    std::remove(path.c_str());
+    for (JobProfile &profile : config.cluster.mix.profiles)
+        profile.huge_page_frac = 0.25;
+    TierConfig nvm;
+    nvm.kind = TierKind::kNvm;
+    nvm.nvm.capacity_pages = 512;
+    nvm.band_lo = 1.0;
+    nvm.band_hi = 4.0;
+    config.cluster.machine.tiers = {nvm};
+    expect_pinned_trajectory(config, 0xfbfdf9c0d8859314ULL,
+                             0x93d5e6a4aa0e5c93ULL);
 }
 
 }  // namespace
