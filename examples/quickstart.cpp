@@ -88,10 +88,10 @@ main()
     }
     table.print(std::cout);
 
-    // Every subsystem also exports named metrics through the machine's
-    // registry (src/telemetry/); this is the same summary the
+    // The machine's telemetry snapshot names every subsystem's
+    // counters (src/telemetry/); this is the same summary the
     // metrics_dump probe prints for a whole fleet.
     std::printf("\ntelemetry summary:\n");
-    print_metrics_summary(std::cout, machine.metrics().snapshot());
+    print_metrics_summary(std::cout, machine.telemetry_snapshot());
     return 0;
 }

@@ -32,17 +32,11 @@ rollout_state_name(RolloutState state)
 
 namespace {
 
-/** The agent.promo_rate bucket bounds on @p machine (empty when the
- *  histogram has not been bound, which never happens on a live
- *  machine). */
-std::vector<double>
+/** The agent.promo_rate bucket bounds on @p machine. */
+const std::vector<double> &
 promo_bounds_of(const Machine &machine)
 {
-    MetricsSnapshot snap = machine.metrics().snapshot();
-    auto it = snap.histograms.find("agent.promo_rate");
-    if (it == snap.histograms.end())
-        return {};
-    return it->second.upper_bounds;
+    return machine.agent().stats().promo_rate.upper_bounds;
 }
 
 void
@@ -66,8 +60,7 @@ ConfigRollout::ConfigRollout(const RolloutParams &params,
       old_(initial),
       candidate_(initial),
       rng_(params.seed ^ seed_mix ^ 0x9D10CA11ULL),
-      fault_(params.fault, seed_mix ^ params.seed),
-      metrics_(std::make_unique<MetricRegistry>())
+      fault_(params.fault, seed_mix ^ params.seed)
 {
     SDFM_ASSERT(!params_.stage_fractions.empty());
     for (std::size_t i = 0; i < params_.stage_fractions.size(); ++i) {
@@ -78,17 +71,6 @@ ConfigRollout::ConfigRollout(const RolloutParams &params,
     }
     SDFM_ASSERT(params_.stage_fractions.back() == 1.0);
     SDFM_ASSERT(params_.observe_periods > 0);
-
-    m_pushes_delivered_ = &metrics_->counter("rollout.pushes_delivered");
-    m_pushes_lost_ = &metrics_->counter("rollout.pushes_lost");
-    m_pushes_aborted_ = &metrics_->counter("rollout.pushes_aborted");
-    m_stall_periods_ = &metrics_->counter("rollout.stall_periods");
-    m_split_brains_ = &metrics_->counter("rollout.split_brains");
-    m_breaches_ = &metrics_->counter("rollout.guardrail_breaches");
-    m_rollbacks_ = &metrics_->counter("rollout.rollbacks");
-    m_deployments_ = &metrics_->counter("rollout.deployments");
-    m_state_ = &metrics_->gauge("rollout.state");
-    m_stage_ = &metrics_->gauge("rollout.stage");
 }
 
 Machine &
@@ -105,14 +87,12 @@ ConfigRollout::machine_at(const MachineView &clusters,
 ConfigRollout::GuardrailCounters
 ConfigRollout::read_counters(const Machine &machine) const
 {
-    MetricsSnapshot snap = machine.metrics().snapshot();
+    const NodeAgentStats &agent = machine.agent().stats();
     GuardrailCounters g;
-    g.breaker_trips = snap.counter_or_zero("agent.slo_breaker_trips");
-    g.poisoned_entries = snap.counter_or_zero("zswap.poisoned_entries");
-    g.evictions = snap.counter_or_zero("machine.evictions");
-    auto it = snap.histograms.find("agent.promo_rate");
-    if (it != snap.histograms.end())
-        g.promo_counts = it->second.counts;
+    g.breaker_trips = agent.slo_breaker_trips;
+    g.poisoned_entries = machine.zswap().stats().poisoned_entries;
+    g.evictions = machine.counters().oom_evictions;
+    g.promo_counts = agent.promo_rate.counts;
     return g;
 }
 
@@ -295,7 +275,6 @@ ConfigRollout::audit(SimTime now, const MachineView &clusters)
             // Reconcile by redelivering the expected config.
             ++mismatches;
             ++stats_.split_brains;
-            m_split_brains_->inc();
             pending_.push_back(PendingPush{key, entry.expected_epoch,
                                            entry.to_new, 0, now});
         }
@@ -324,11 +303,9 @@ ConfigRollout::deliver(SimTime now, SimTime period,
             // never an option).
             --losses;
             ++stats_.pushes_lost;
-            m_pushes_lost_->inc();
             ++p.attempts;
             if (p.to_new && p.attempts > params_.max_push_retries) {
                 ++stats_.pushes_aborted;
-                m_pushes_aborted_->inc();
                 aborted = true;
                 continue;
             }
@@ -357,7 +334,6 @@ ConfigRollout::deliver(SimTime now, SimTime period,
         bool conservative = !p.to_new && params_.conservative_rollback;
         m.deploy_slo(now + period, cfg, p.epoch, conservative);
         ++stats_.pushes_delivered;
-        m_pushes_delivered_->inc();
     }
     pending_.swap(keep);
     if (aborted && state_ != RolloutState::kRollingBack)
@@ -446,20 +422,12 @@ ConfigRollout::begin_rollback(SimTime now)
 }
 
 void
-ConfigRollout::update_gauges()
-{
-    m_state_->set(static_cast<double>(static_cast<std::uint8_t>(state_)));
-    m_stage_->set(static_cast<double>(stage_));
-}
-
-void
 ConfigRollout::step(SimTime now, SimTime period,
                     const MachineView &clusters)
 {
     if (state_ == RolloutState::kIdle ||
         state_ == RolloutState::kDeployed ||
         state_ == RolloutState::kRolledBack) {
-        update_gauges();
         return;
     }
     SimTime end = now + period;
@@ -494,13 +462,11 @@ ConfigRollout::step(SimTime now, SimTime period,
     // caught.
     if (now < stalled_until_) {
         ++stats_.stall_periods;
-        m_stall_periods_->inc();
         // Machine counters keep accumulating through a stalled
         // baseline period even though baseline_elapsed_ freezes; the
         // rate denominator must span it.
         if (state_ == RolloutState::kProposed)
             ++baseline_span_;
-        update_gauges();
         return;
     }
 
@@ -514,7 +480,6 @@ ConfigRollout::step(SimTime now, SimTime period,
             stage_ = 0;
             enqueue_stage(0, now);
         }
-        update_gauges();
         return;
     }
 
@@ -542,8 +507,6 @@ ConfigRollout::step(SimTime now, SimTime period,
         pending_.empty()) {
         state_ = RolloutState::kRolledBack;
         ++stats_.rollbacks;
-        m_rollbacks_->inc();
-        update_gauges();
         return;
     }
 
@@ -551,10 +514,8 @@ ConfigRollout::step(SimTime now, SimTime period,
     // kRollingBack on retry exhaustion).
     deliver(now, period, clusters, losses, splits);
 
-    if (state_ == RolloutState::kRollingBack || !pending_.empty()) {
-        update_gauges();
+    if (state_ == RolloutState::kRollingBack || !pending_.empty())
         return;
-    }
 
     // 6. Stage observation. The window opens on the first push-free
     // period (counters snapshotted over the cumulative switched set)
@@ -568,15 +529,12 @@ ConfigRollout::step(SimTime now, SimTime period,
         }
         observed_ = 0;
         window_active_ = true;
-        update_gauges();
         return;
     }
     ++observed_;
     if (guardrails_breached(clusters)) {
         ++stats_.guardrail_breaches;
-        m_breaches_->inc();
         begin_rollback(now);
-        update_gauges();
         return;
     }
     if (observed_ >= params_.observe_periods) {
@@ -590,14 +548,31 @@ ConfigRollout::step(SimTime now, SimTime period,
             current_ = candidate_;
             state_ = RolloutState::kDeployed;
             ++stats_.deployments;
-            m_deployments_->inc();
         } else {
             ++stage_;
             state_ = RolloutState::kExpanding;
             enqueue_stage(stage_, now);
         }
     }
-    update_gauges();
+}
+
+MetricsSnapshot
+ConfigRollout::telemetry_snapshot() const
+{
+    MetricsSnapshot snap;
+    snap.counters["rollout.pushes_delivered"] = stats_.pushes_delivered;
+    snap.counters["rollout.pushes_lost"] = stats_.pushes_lost;
+    snap.counters["rollout.pushes_aborted"] = stats_.pushes_aborted;
+    snap.counters["rollout.stall_periods"] = stats_.stall_periods;
+    snap.counters["rollout.split_brains"] = stats_.split_brains;
+    snap.counters["rollout.guardrail_breaches"] =
+        stats_.guardrail_breaches;
+    snap.counters["rollout.rollbacks"] = stats_.rollbacks;
+    snap.counters["rollout.deployments"] = stats_.deployments;
+    snap.gauges["rollout.state"] =
+        static_cast<double>(static_cast<std::uint8_t>(state_));
+    snap.gauges["rollout.stage"] = static_cast<double>(stage_);
+    return snap;
 }
 
 void
@@ -802,7 +777,6 @@ ConfigRollout::ckpt_save(Serializer &s) const
     s.put_u64(stats_.stages_advanced);
     s.put_u64(stats_.deployments);
     s.put_u64(stats_.rollbacks);
-    metrics_->ckpt_save(s);
 }
 
 bool
@@ -941,8 +915,6 @@ ConfigRollout::ckpt_load(Deserializer &d)
     stats_.stages_advanced = d.get_u64();
     stats_.deployments = d.get_u64();
     stats_.rollbacks = d.get_u64();
-    if (!metrics_->ckpt_load(d))
-        return false;
     if (!d.ok())
         return false;
 

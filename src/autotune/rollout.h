@@ -50,7 +50,7 @@
 #include "fault/fault_injector.h"
 #include "node/machine.h"
 #include "node/slo.h"
-#include "telemetry/registry.h"
+#include "telemetry/snapshot.h"
 #include "util/digest.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
@@ -203,10 +203,9 @@ class ConfigRollout
     const RolloutStats &stats() const { return stats_; }
     const FaultInjector &fault_injector() const { return fault_; }
 
-    /** rollout.* metrics; FarMemorySystem merges this registry into
-     *  the fleet rollup. */
-    MetricRegistry &metrics() { return *metrics_; }
-    const MetricRegistry &metrics() const { return *metrics_; }
+    /** The rollout.* metrics: the counters, plus the state and stage
+     *  as of now. FarMemorySystem merges them into the fleet rollup. */
+    MetricsSnapshot telemetry_snapshot() const;
 
     /**
      * Rollout consistency check (SDFM_INVARIANT tier): cohorts
@@ -225,8 +224,8 @@ class ConfigRollout
      * Checkpointable-shaped snapshot: the state machine, epochs,
      * configs, baseline snapshot and rates, cohorts, push ledger,
      * in-flight pushes, observation window, both RNG-bearing streams
-     * (shuffle RNG and fault injector), the counters, and the
-     * rollout.* registry. ckpt_load() parses and validates;
+     * (shuffle RNG and fault injector), and the counters.
+     * ckpt_load() parses and validates;
      * ckpt_resolve() then cross-checks the restored ledger and
      * cohorts against the restored machines (topology bounds, epoch
      * plausibility) and fails on any disagreement.
@@ -285,7 +284,6 @@ class ConfigRollout
                  std::uint32_t splits);
     bool guardrails_breached(const MachineView &clusters) const;
     void begin_rollback(SimTime now);
-    void update_gauges();
 
     // sdfm-state: config(fixed at construction; ckpt_load validates
     // wire compatibility against it, the fingerprint covers the rest)
@@ -328,32 +326,6 @@ class ConfigRollout
     Rng rng_;  ///< cohort shuffles
     FaultInjector fault_;
     RolloutStats stats_;
-    // sdfm-state: non-semantic(owned telemetry registry; counters
-    // mirror stats_, which is serialized and digested)
-    std::unique_ptr<MetricRegistry> metrics_;
-
-    // Cached rollout.* metric handles: registry-owned pointers bound
-    // at construction; the backing stats_ counters are on the wire.
-    // sdfm-state: non-semantic(metric handle; stats_ is serialized)
-    Counter *m_pushes_delivered_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is serialized)
-    Counter *m_pushes_lost_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is serialized)
-    Counter *m_pushes_aborted_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is serialized)
-    Counter *m_stall_periods_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is serialized)
-    Counter *m_split_brains_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is serialized)
-    Counter *m_breaches_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is serialized)
-    Counter *m_rollbacks_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is serialized)
-    Counter *m_deployments_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; recomputed gauge)
-    Gauge *m_state_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; recomputed gauge)
-    Gauge *m_stage_ = nullptr;
 };
 
 }  // namespace sdfm

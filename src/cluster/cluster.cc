@@ -266,9 +266,9 @@ Cluster::telemetry_snapshot() const
 {
     MetricsSnapshot snap;
     for (const auto &machine : machines_)
-        snap.merge(machine->metrics().snapshot());
+        snap.merge(machine->telemetry_snapshot());
     if (broker_ != nullptr)
-        snap.merge(broker_->metrics().snapshot());
+        snap.merge(broker_->telemetry_snapshot());
     snap.gauges["cluster.jobs"] +=
         static_cast<double>(num_jobs());
     return snap;

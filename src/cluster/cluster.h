@@ -153,8 +153,9 @@ class Cluster
     const MemoryBroker *broker() const { return broker_.get(); }
 
     /**
-     * Cluster-level metrics rollup: every machine registry merged
-     * bucket-wise, plus the cluster.jobs gauge. Fleet rollups merge
+     * Cluster-level metrics rollup: every machine's snapshot merged
+     * bucket-wise in machine order, then the broker's, plus the
+     * cluster.jobs gauge. Fleet rollups merge
      * these again (FarMemorySystem::fleet_telemetry), so gauges hold
      * additive quantities.
      */

@@ -13,20 +13,10 @@ MemoryBroker::MemoryBroker(const MemPoolParams &params,
                            std::uint32_t num_machines)
     : params_(params), num_machines_(num_machines),
       breakers_(num_machines, CircuitBreaker(params.breaker)),
-      fault_(params.fault, seed),
-      metrics_(std::make_unique<MetricRegistry>())
+      fault_(params.fault, seed)
 {
     SDFM_ASSERT(num_machines_ > 0);
     SDFM_ASSERT(params_.lease_pages > 0);
-    m_leases_granted_ = &metrics_->counter("pool.leases_granted");
-    m_grants_aborted_ = &metrics_->counter("pool.grants_aborted");
-    m_revocations_ = &metrics_->counter("pool.revocations");
-    m_grace_drains_ = &metrics_->counter("pool.grace_drains");
-    m_forced_kills_ = &metrics_->counter("pool.forced_kills");
-    m_broker_stalls_ = &metrics_->counter("pool.broker_stalls");
-    m_breaker_opens_ = &metrics_->counter("pool.broker_breaker_opens");
-    m_leases_active_ = &metrics_->gauge("pool.leases_active");
-    m_breaker_state_ = &metrics_->gauge("pool.broker_breaker_state");
 }
 
 std::uint32_t
@@ -62,7 +52,6 @@ MemoryBroker::attempt_revocation(
     SDFM_ASSERT(remote != nullptr);
     remote->begin_drain(lease.id);
     ++stats_.revocations;
-    m_revocations_->inc();
     if (expiry)
         ++stats_.expiries;
 }
@@ -94,7 +83,6 @@ MemoryBroker::step(SimTime now, SimTime period,
               case FaultKind::kBrokerStall:
                 stalled_until_ =
                     std::max(stalled_until_, now + event.duration);
-                m_broker_stalls_->inc();
                 break;
               case FaultKind::kLeaseGrantLoss:
                 ++grant_losses_;
@@ -160,7 +148,6 @@ MemoryBroker::step(SimTime now, SimTime period,
                     machines[lease.donor]->return_donated(lease.pages);
                     lease.transition(LeaseState::kRevoked);
                     ++stats_.grants_aborted;
-                    m_grants_aborted_->inc();
                 } else {
                     lease.grant_backoff_remaining =
                         params_.grant_backoff_base
@@ -177,7 +164,6 @@ MemoryBroker::step(SimTime now, SimTime period,
                           period;
             lease.transition(LeaseState::kActive);
             ++stats_.leases_granted;
-            m_leases_granted_->inc();
         }
 
         // 6. Redeliver revocations whose message was lost.
@@ -241,7 +227,6 @@ MemoryBroker::step(SimTime now, SimTime period,
             std::uint64_t drained = borrower.drain_lease(
                 id, params_.drain_pages_per_period);
             stats_.grace_drain_pages += drained;
-            m_grace_drains_->inc(drained);
         }
         if (remote->lease_used(id) == 0) {
             remote->finish_lease(id);
@@ -254,7 +239,6 @@ MemoryBroker::step(SimTime now, SimTime period,
             machines[lease.donor]->return_donated(lease.pages);
             lease.transition(LeaseState::kRevoked);
             stats_.forced_kills += victims.size();
-            m_forced_kills_->inc(victims.size());
             result.killed.insert(result.killed.end(), victims.begin(),
                                  victims.end());
         } else {
@@ -326,7 +310,6 @@ MemoryBroker::step(SimTime now, SimTime period,
             if (cp_failure[i]) {
                 if (breakers_[i].record_failure()) {
                     ++stats_.breaker_opens;
-                    m_breaker_opens_->inc();
                 }
             } else {
                 breakers_[i].record_success();
@@ -339,16 +322,15 @@ MemoryBroker::step(SimTime now, SimTime period,
         }
     }
 
-    // 11. pool.* gauges.
-    std::uint64_t active = 0;
+    // 11. Step-end levels for the pool.* gauges.
+    stats_.leases_active = 0;
     for (const auto &[id, lease] : leases_) {
         if (lease.state == LeaseState::kActive ||
             lease.state == LeaseState::kRevoking) {
-            ++active;
+            ++stats_.leases_active;
         }
     }
-    m_leases_active_->set(static_cast<double>(active));
-    m_breaker_state_->set(static_cast<double>(open_breakers));
+    stats_.open_breakers = open_breakers;
 
     return result;
 }
@@ -434,7 +416,8 @@ MemoryBroker::ckpt_save(Serializer &s) const
     s.put_u64(leases_.size());
     for (const auto &[id, lease] : leases_)
         lease.ckpt_save(s);
-    metrics_->ckpt_save(s);
+    s.put_u64(stats_.leases_active);
+    s.put_u64(stats_.open_breakers);
 }
 
 bool
@@ -481,9 +464,27 @@ MemoryBroker::ckpt_load(Deserializer &d)
         prev_id = lease.id;
         leases_.emplace(lease.id, lease);
     }
-    if (!metrics_->ckpt_load(d))
-        return false;
+    stats_.leases_active = d.get_u64();
+    stats_.open_breakers = d.get_u64();
     return d.ok();
+}
+
+MetricsSnapshot
+MemoryBroker::telemetry_snapshot() const
+{
+    MetricsSnapshot snap;
+    snap.counters["pool.leases_granted"] = stats_.leases_granted;
+    snap.counters["pool.grants_aborted"] = stats_.grants_aborted;
+    snap.counters["pool.revocations"] = stats_.revocations;
+    snap.counters["pool.grace_drains"] = stats_.grace_drain_pages;
+    snap.counters["pool.forced_kills"] = stats_.forced_kills;
+    snap.counters["pool.broker_stalls"] = fault_.stats().broker_stalls;
+    snap.counters["pool.broker_breaker_opens"] = stats_.breaker_opens;
+    snap.gauges["pool.leases_active"] =
+        static_cast<double>(stats_.leases_active);
+    snap.gauges["pool.broker_breaker_state"] =
+        static_cast<double>(stats_.open_breakers);
+    return snap;
 }
 
 bool

@@ -37,7 +37,7 @@
 #include "fault/circuit_breaker.h"
 #include "fault/fault_injector.h"
 #include "node/machine.h"
-#include "telemetry/registry.h"
+#include "telemetry/snapshot.h"
 
 namespace sdfm {
 
@@ -86,7 +86,8 @@ struct MemPoolParams
     FaultConfig fault;
 };
 
-/** Broker lifetime counters. */
+/** Broker lifetime counters; the last two are the levels sampled at
+ *  the end of the last broker step (telemetry only, not digested). */
 struct MemPoolStats
 {
     std::uint64_t leases_issued = 0;    ///< matches made (kGranted)
@@ -99,6 +100,8 @@ struct MemPoolStats
     std::uint64_t forced_kills = 0;     ///< jobs killed at grace end
     std::uint64_t donor_crash_revocations = 0;
     std::uint64_t breaker_opens = 0;
+    std::uint64_t leases_active = 0;  ///< active or revoking leases
+    std::uint64_t open_breakers = 0;  ///< machines gated off the pool
 };
 
 /** Result of one broker step. */
@@ -146,10 +149,9 @@ class MemoryBroker
         return breakers_[machine];
     }
 
-    /** pool.* metrics; Cluster merges this registry into its
-     *  telemetry rollup. */
-    MetricRegistry &metrics() { return *metrics_; }
-    const MetricRegistry &metrics() const { return *metrics_; }
+    /** The pool.* metrics, read from the stats and the broker's
+     *  fault injector; Cluster merges them into its rollup. */
+    MetricsSnapshot telemetry_snapshot() const;
 
     /**
      * Broker consistency check (SDFM_INVARIANT tier): every
@@ -171,7 +173,7 @@ class MemoryBroker
      * Checkpointable-shaped snapshot: the lease-id allocator, the
      * stall window, the counters, the fault injector, every
      * per-machine breaker, the full lease table in id order, and the
-     * pool.* metric registry. Params are not stored (they come from
+     * sampled pool.* levels. Params are not stored (they come from
      * the config). ckpt_load() parses and validates the table
      * (well-formed leases, strictly increasing ids below the
      * allocator); ckpt_resolve() then rebinds the restored table to
@@ -216,30 +218,6 @@ class MemoryBroker
     std::vector<CircuitBreaker> breakers_;
     FaultInjector fault_;
     MemPoolStats stats_;
-    // sdfm-state: non-semantic(owned telemetry registry; counters
-    // mirror stats_, which is serialized and digested)
-    std::unique_ptr<MetricRegistry> metrics_;
-
-    // Cached pool.* metric handles: registry-owned pointers bound at
-    // construction; the backing stats_ counters are on the wire.
-    // sdfm-state: non-semantic(metric handle; stats_ is serialized)
-    Counter *m_leases_granted_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is serialized)
-    Counter *m_grants_aborted_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is serialized)
-    Counter *m_revocations_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is serialized)
-    Counter *m_grace_drains_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is serialized)
-    Counter *m_forced_kills_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is serialized)
-    Counter *m_broker_stalls_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is serialized)
-    Counter *m_breaker_opens_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is serialized)
-    Gauge *m_leases_active_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is serialized)
-    Gauge *m_breaker_state_ = nullptr;
 };
 
 }  // namespace sdfm

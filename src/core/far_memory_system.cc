@@ -180,7 +180,7 @@ FarMemorySystem::fleet_telemetry() const
     for (const auto &cluster : clusters_)
         snap.merge(cluster->telemetry_snapshot());
     if (rollout_ != nullptr)
-        snap.merge(rollout_->metrics().snapshot());
+        snap.merge(rollout_->telemetry_snapshot());
     return snap;
 }
 

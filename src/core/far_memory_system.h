@@ -186,9 +186,9 @@ class FarMemorySystem
     // -- metrics plane -----------------------------------------------
 
     /**
-     * Fleet-wide metrics rollup: every machine registry in every
-     * cluster merged into one snapshot (counters and gauges sum,
-     * histograms accumulate bucket-wise).
+     * Fleet-wide metrics rollup: every cluster's rollup in cluster
+     * order, then the rollout's, merged into one snapshot (counters
+     * and gauges sum, histograms accumulate bucket-wise).
      */
     MetricsSnapshot fleet_telemetry() const;
 

@@ -19,44 +19,29 @@ Kreclaimd::Kreclaimd(const KreclaimdParams &params) : params_(params)
 }
 
 void
-Kreclaimd::bind_metrics(MetricRegistry *registry)
+KreclaimdStats::ckpt_save(Serializer &s) const
 {
-    if (registry == nullptr) {
-        m_passes_ = nullptr;
-        m_direct_passes_ = nullptr;
-        m_pages_walked_ = nullptr;
-        m_pages_stored_ = nullptr;
-        m_pages_to_tier_ = nullptr;
-        m_pages_rejected_ = nullptr;
-        m_huge_splits_ = nullptr;
-        m_pass_cycles_ = nullptr;
-        return;
-    }
-    m_passes_ = &registry->counter("kreclaimd.passes");
-    m_direct_passes_ = &registry->counter("kreclaimd.direct_passes");
-    m_pages_walked_ = &registry->counter("kreclaimd.pages_walked");
-    m_pages_stored_ = &registry->counter("kreclaimd.pages_stored");
-    // Historical name: "nvm" meant "the (only) deep tier" before the
-    // stack generalization. Kept so dashboards and baselines compare.
-    m_pages_to_tier_ = &registry->counter("kreclaimd.pages_to_nvm");
-    m_pages_rejected_ = &registry->counter("kreclaimd.pages_rejected");
-    m_huge_splits_ = &registry->counter("kreclaimd.huge_splits");
-    m_pass_cycles_ = &registry->histogram(
-        "kreclaimd.pass_cycles", exponential_bounds(1e3, 10.0, 7));
+    s.put_u64(passes);
+    s.put_u64(direct_passes);
+    s.put_u64(pages_walked);
+    s.put_u64(pages_stored);
+    s.put_u64(pages_to_tier);
+    s.put_u64(pages_rejected);
+    s.put_u64(huge_splits);
+    pass_cycles.ckpt_save(s);
 }
 
-void
-Kreclaimd::record_pass(const ReclaimResult &result, bool direct) const
+bool
+KreclaimdStats::ckpt_load(Deserializer &d)
 {
-    if (m_passes_ == nullptr)
-        return;
-    (direct ? m_direct_passes_ : m_passes_)->inc();
-    m_pages_walked_->inc(result.pages_walked);
-    m_pages_stored_->inc(result.pages_stored);
-    m_pages_to_tier_->inc(result.pages_to_tier);
-    m_pages_rejected_->inc(result.pages_rejected);
-    m_huge_splits_->inc(result.huge_splits);
-    m_pass_cycles_->observe(result.walk_cycles);
+    passes = d.get_u64();
+    direct_passes = d.get_u64();
+    pages_walked = d.get_u64();
+    pages_stored = d.get_u64();
+    pages_to_tier = d.get_u64();
+    pages_rejected = d.get_u64();
+    huge_splits = d.get_u64();
+    return pass_cycles.ckpt_load(d);
 }
 
 ReclaimResult
@@ -66,6 +51,7 @@ Kreclaimd::reclaim_cold(Memcg &cg, DemotionPlan &plan) const
     AgeBucket threshold = cg.reclaim_threshold();
     if (!cg.zswap_enabled() || threshold == 0 || plan.empty())
         return result;
+    result.walked = true;
 
     // Cold huge regions must be split before their pages can go to
     // far memory (one PTE cannot be partially swapped). All 512 pages
@@ -207,7 +193,6 @@ Kreclaimd::reclaim_cold(Memcg &cg, DemotionPlan &plan) const
     }
     result.walk_cycles +=
         params_.cycles_per_page * static_cast<double>(result.pages_walked);
-    record_pass(result, /*direct=*/false);
     return result;
 }
 
@@ -230,6 +215,7 @@ Kreclaimd::direct_reclaim(Memcg &cg, Zswap &zswap,
     ReclaimResult result;
     if (target_pages == 0)
         return result;
+    result.walked = true;
 
     // Collect eligible pages, oldest first (the LRU tail).
     std::uint32_t n = cg.num_pages();
@@ -261,7 +247,6 @@ Kreclaimd::direct_reclaim(Memcg &cg, Zswap &zswap,
     }
     result.walk_cycles =
         params_.cycles_per_page * static_cast<double>(result.pages_walked);
-    record_pass(result, /*direct=*/true);
     return result;
 }
 

@@ -21,7 +21,7 @@
 #include "mem/memcg.h"
 #include "mem/tier_stack.h"
 #include "mem/zswap.h"
-#include "telemetry/registry.h"
+#include "telemetry/metric.h"
 
 namespace sdfm {
 
@@ -34,6 +34,45 @@ struct ReclaimResult
     std::uint64_t pages_walked = 0;
     std::uint64_t huge_splits = 0;     ///< cold huge regions split
     double walk_cycles = 0.0;  ///< page-walk + split cost
+    /** False when the pass returned before walking: reclaim off for
+     *  the job, an empty plan, or a zero direct-reclaim target. */
+    bool walked = false;
+};
+
+/**
+ * Cumulative kreclaimd work on one machine (the kreclaimd.* metrics).
+ * The daemon is stateless; its owner folds in every ReclaimResult it
+ * gets. Passes that did not walk are not counted.
+ */
+struct KreclaimdStats
+{
+    std::uint64_t passes = 0;         ///< proactive passes
+    std::uint64_t direct_passes = 0;  ///< direct-reclaim passes
+    std::uint64_t pages_walked = 0;
+    std::uint64_t pages_stored = 0;
+    std::uint64_t pages_to_tier = 0;
+    std::uint64_t pages_rejected = 0;
+    std::uint64_t huge_splits = 0;
+
+    /** Per-pass walk cost in modelled CPU cycles. */
+    HistogramData pass_cycles{exponential_bounds(1e3, 10.0, 7)};
+
+    /** Fold in one pass; @p direct selects the pass counter. */
+    void record(const ReclaimResult &pass, bool direct)
+    {
+        if (!pass.walked)
+            return;
+        ++(direct ? direct_passes : passes);
+        pages_walked += pass.pages_walked;
+        pages_stored += pass.pages_stored;
+        pages_to_tier += pass.pages_to_tier;
+        pages_rejected += pass.pages_rejected;
+        huge_splits += pass.huge_splits;
+        pass_cycles.observe(pass.walk_cycles);
+    }
+
+    void ckpt_save(Serializer &s) const;
+    bool ckpt_load(Deserializer &d);
 };
 
 /** Reclaim daemon parameters. */
@@ -91,28 +130,8 @@ class Kreclaimd
     ReclaimResult direct_reclaim(Memcg &cg, Zswap &zswap,
                                  std::uint64_t target_pages) const;
 
-    /**
-     * Attach to a machine's metric registry (kreclaimd.* metrics).
-     * Recorded once per reclaim pass (per job), never per page.
-     * Null detaches.
-     */
-    void bind_metrics(MetricRegistry *registry);
-
   private:
-    /** Record one finished pass into the bound metrics (if any). */
-    void record_pass(const ReclaimResult &result, bool direct) const;
-
     KreclaimdParams params_;
-
-    // Cached registry metrics (null when unbound).
-    Counter *m_passes_ = nullptr;
-    Counter *m_direct_passes_ = nullptr;
-    Counter *m_pages_walked_ = nullptr;
-    Counter *m_pages_stored_ = nullptr;
-    Counter *m_pages_to_tier_ = nullptr;
-    Counter *m_pages_rejected_ = nullptr;
-    Counter *m_huge_splits_ = nullptr;
-    Histogram *m_pass_cycles_ = nullptr;
 };
 
 }  // namespace sdfm

@@ -13,22 +13,21 @@ Kstaled::Kstaled(const KstaledParams &params) : params_(params)
 }
 
 void
-Kstaled::bind_metrics(MetricRegistry *registry)
+KstaledStats::ckpt_save(Serializer &s) const
 {
-    if (registry == nullptr) {
-        m_scans_ = nullptr;
-        m_pages_scanned_ = nullptr;
-        m_pages_accessed_ = nullptr;
-        m_scan_cycles_ = nullptr;
-        return;
-    }
-    m_scans_ = &registry->counter("kstaled.scans");
-    m_pages_scanned_ = &registry->counter("kstaled.pages_scanned");
-    m_pages_accessed_ = &registry->counter("kstaled.pages_accessed");
-    // Per-job scan cost in modelled CPU cycles: 1e3..1e9 covers a
-    // 4 KiB job up to a multi-GiB one at ~150 cycles/page.
-    m_scan_cycles_ = &registry->histogram(
-        "kstaled.scan_cycles", exponential_bounds(1e3, 10.0, 7));
+    s.put_u64(scans);
+    s.put_u64(pages_scanned);
+    s.put_u64(pages_accessed);
+    scan_cycles.ckpt_save(s);
+}
+
+bool
+KstaledStats::ckpt_load(Deserializer &d)
+{
+    scans = d.get_u64();
+    pages_scanned = d.get_u64();
+    pages_accessed = d.get_u64();
+    return scan_cycles.ckpt_load(d);
 }
 
 ScanResult
@@ -51,12 +50,6 @@ Kstaled::scan(Memcg &cg, std::uint32_t phase) const
                    "post-scan cold-age histogram covers every page");
     result.cpu_cycles =
         params_.cycles_per_page * static_cast<double>(result.pages_scanned);
-    if (m_scans_ != nullptr) {
-        m_scans_->inc();
-        m_pages_scanned_->inc(result.pages_scanned);
-        m_pages_accessed_->inc(result.accessed_pages);
-        m_scan_cycles_->observe(result.cpu_cycles);
-    }
     return result;
 }
 

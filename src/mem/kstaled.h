@@ -19,7 +19,7 @@
 #include <cstdint>
 
 #include "mem/memcg.h"
-#include "telemetry/registry.h"
+#include "telemetry/metric.h"
 
 namespace sdfm {
 
@@ -49,6 +49,33 @@ struct ScanResult
     double cpu_cycles = 0.0;
 };
 
+/**
+ * Cumulative kstaled work on one machine (the kstaled.* metrics). The
+ * daemon is stateless; its owner folds in every ScanResult it gets.
+ */
+struct KstaledStats
+{
+    std::uint64_t scans = 0;  ///< per-job scans
+    std::uint64_t pages_scanned = 0;
+    std::uint64_t pages_accessed = 0;
+
+    /** Per-job scan cost in modelled CPU cycles: 1e3..1e9 covers a
+     *  4 KiB job up to a multi-GiB one at ~150 cycles/page. */
+    HistogramData scan_cycles{exponential_bounds(1e3, 10.0, 7)};
+
+    /** Fold in one job's scan. */
+    void record(const ScanResult &scan)
+    {
+        ++scans;
+        pages_scanned += scan.pages_scanned;
+        pages_accessed += scan.accessed_pages;
+        scan_cycles.observe(scan.cpu_cycles);
+    }
+
+    void ckpt_save(Serializer &s) const;
+    bool ckpt_load(Deserializer &d);
+};
+
 /** The kstaled daemon; stateless across jobs, so one instance serves
  *  a whole machine. */
 class Kstaled
@@ -67,13 +94,6 @@ class Kstaled
      */
     ScanResult scan(Memcg &cg, std::uint32_t phase = 0) const;
 
-    /**
-     * Attach to a machine's metric registry (kstaled.* metrics).
-     * Metrics are recorded once per scanned job, not per page, so
-     * the scan loop itself stays untouched. Null detaches.
-     */
-    void bind_metrics(MetricRegistry *registry);
-
     const KstaledParams &params() const { return params_; }
 
     /**
@@ -83,7 +103,7 @@ class Kstaled
      * age, promotion and cold histograms together); region summaries
      * are rebuilt at the end so the reclaim fast path stays sound
      * under striping. Adds to @p result's page counters, not to its
-     * cpu_cycles, and records no metrics.
+     * cpu_cycles.
      */
     void scan_reference(Memcg &cg, std::uint32_t stride,
                         std::uint32_t phase, ScanResult &result) const;
@@ -102,12 +122,6 @@ class Kstaled
     void scan_soa(Memcg &cg, ScanResult &result) const;
 
     KstaledParams params_;
-
-    // Cached registry metrics (null when unbound).
-    Counter *m_scans_ = nullptr;
-    Counter *m_pages_scanned_ = nullptr;
-    Counter *m_pages_accessed_ = nullptr;
-    Histogram *m_scan_cycles_ = nullptr;
 };
 
 }  // namespace sdfm

@@ -118,12 +118,18 @@ class TierStack
          *  healthy). */
         SimTime degraded_until = 0;
 
-        /** Last-seen tier fault counters, for per-step metric deltas
-         *  and this entry's breaker failure signal. */
+        /** Tier fault counters as of the owning machine's last
+         *  fault-plane update: the per-step delta feeds this entry's
+         *  breaker, and the fault.* metrics read them. */
         std::uint64_t seen_read_failures = 0;
         std::uint64_t seen_read_retries = 0;
         std::uint64_t seen_reads_exhausted = 0;
         std::uint64_t seen_media_errors = 0;
+
+        /** Occupancy and utilization sampled at the end of the owning
+         *  machine's last step (the tier.<label>.* gauges). */
+        std::uint64_t step_end_used_pages = 0;
+        double step_end_utilization = 0.0;
 
         /**
          * Memory pooling: the cluster broker's per-machine breaker is

@@ -20,47 +20,6 @@ Zswap::Zswap(Compressor *compressor, std::uint64_t rng_seed,
     SDFM_ASSERT(compressor_ != nullptr);
 }
 
-void
-Zswap::bind_metrics(MetricRegistry *registry)
-{
-    if (registry == nullptr) {
-        m_stores_ = nullptr;
-        m_rejects_ = nullptr;
-        m_incompressible_marks_ = nullptr;
-        m_promotions_ = nullptr;
-        m_poisoned_ = nullptr;
-        m_arena_bytes_ = nullptr;
-        m_stored_pages_ = nullptr;
-        m_payload_bytes_ = nullptr;
-        return;
-    }
-    m_stores_ = &registry->counter("zswap.stores");
-    m_rejects_ = &registry->counter("zswap.rejects");
-    m_incompressible_marks_ =
-        &registry->counter("zswap.incompressible_marks");
-    m_promotions_ = &registry->counter("zswap.promotions");
-    m_poisoned_ = &registry->counter("zswap.poisoned_entries");
-    m_arena_bytes_ = &registry->gauge("zswap.arena_bytes");
-    m_stored_pages_ = &registry->gauge("zswap.stored_pages");
-    // Payload sizes up to the page size; the rejection threshold
-    // (kMaxZswapPayload) sits inside the grid so the accept/reject
-    // boundary is visible in the distribution.
-    m_payload_bytes_ = &registry->histogram(
-        "zswap.payload_bytes",
-        {256, 512, 1024, 1536, 2048, 2560,
-         static_cast<double>(kMaxZswapPayload),
-         static_cast<double>(kPageSize)});
-}
-
-void
-Zswap::update_arena_metrics()
-{
-    if (m_arena_bytes_ == nullptr)
-        return;
-    m_arena_bytes_->set(static_cast<double>(arena_.pool_bytes()));
-    m_stored_pages_->set(static_cast<double>(arena_.live_objects()));
-}
-
 bool
 Zswap::store(Memcg &cg, PageId p)
 {
@@ -97,12 +56,8 @@ Zswap::store(Memcg &cg, PageId p)
         cg.page_set(p, kPageIncompressible);
         ++cg.stats().zswap_rejects;
         ++stats_.rejects;
-        if (m_rejects_ != nullptr) {
-            m_rejects_->inc();
-            m_incompressible_marks_->inc();
-            m_payload_bytes_->observe(
-                static_cast<double>(result.compressed_size));
-        }
+        stats_.payload_bytes.observe(
+            static_cast<double>(result.compressed_size));
         return false;
     }
 
@@ -116,12 +71,8 @@ Zswap::store(Memcg &cg, PageId p)
     ++cg.stats().zswap_stores;
     cg.stats().compressed_bytes_stored += result.compressed_size;
     ++stats_.stores;
-    if (m_stores_ != nullptr) {
-        m_stores_->inc();
-        m_payload_bytes_->observe(
-            static_cast<double>(result.compressed_size));
-        update_arena_metrics();
-    }
+    stats_.payload_bytes.observe(
+        static_cast<double>(result.compressed_size));
     return true;
 }
 
@@ -155,8 +106,6 @@ Zswap::load(Memcg &cg, PageId p)
         // (pure stall at a nominal 2.6 GHz, as the NVM path does).
         cg.stats().refault_stall_cycles +=
             kZswapRefaultLatencyUs * 2.6e3;
-        if (m_poisoned_ != nullptr)
-            m_poisoned_->inc();
     }
 
     if (verify_roundtrip_ && !poisoned) {
@@ -187,10 +136,6 @@ Zswap::load(Memcg &cg, PageId p)
     cg.note_loaded_from_zswap(p);
     ++cg.stats().zswap_promotions;
     ++stats_.promotions;
-    if (m_promotions_ != nullptr) {
-        m_promotions_->inc();
-        update_arena_metrics();
-    }
 }
 
 std::uint64_t
@@ -256,7 +201,6 @@ Zswap::drop(Memcg &cg, PageId p)
     arena_.release(handle);
     cg.clear_zswap_handle(p);
     cg.note_loaded_from_zswap(p);
-    update_arena_metrics();
 }
 
 void
@@ -278,6 +222,7 @@ Zswap::ckpt_save(Serializer &s) const
     s.put_u64(stats_.corruptions_injected);
     s.put_double(stats_.compress_cycles);
     s.put_double(stats_.decompress_cycles);
+    stats_.payload_bytes.ckpt_save(s);
     s.put_rng(rng_);
     s.put_bool(verify_roundtrip_);
 
@@ -309,6 +254,8 @@ Zswap::ckpt_load(Deserializer &d)
     stats_.corruptions_injected = d.get_u64();
     stats_.compress_cycles = d.get_double();
     stats_.decompress_cycles = d.get_double();
+    if (!stats_.payload_bytes.ckpt_load(d))
+        return false;
     d.get_rng(rng_);
     bool verify = d.get_bool();
     if (!d.ok() || verify != verify_roundtrip_)
@@ -329,7 +276,6 @@ Zswap::ckpt_load(Deserializer &d)
         prev = handle;
         checksums_.emplace(handle, sum);
     }
-    update_arena_metrics();
     return true;
 }
 

@@ -19,7 +19,7 @@
 #include "compression/compressor.h"
 #include "mem/far_tier.h"
 #include "mem/memcg.h"
-#include "telemetry/registry.h"
+#include "telemetry/metric.h"
 #include "util/rng.h"
 #include "zsmalloc/zsmalloc.h"
 
@@ -36,6 +36,17 @@ struct ZswapStats
     std::uint64_t corruptions_injected = 0; ///< fault-plane injections
     double compress_cycles = 0.0;
     double decompress_cycles = 0.0;
+
+    /**
+     * Compressed payload sizes of every store attempt, accepted or
+     * rejected (zswap.payload_bytes). The rejection threshold
+     * (kMaxZswapPayload) sits inside the grid so the accept/reject
+     * boundary is visible in the distribution. Telemetry only:
+     * checkpointed, not digested.
+     */
+    HistogramData payload_bytes{{256, 512, 1024, 1536, 2048, 2560,
+                                 static_cast<double>(kMaxZswapPayload),
+                                 static_cast<double>(kPageSize)}};
 };
 
 /**
@@ -122,19 +133,7 @@ class Zswap : public FarTier
     std::uint64_t capacity_pages() const override { return 0; }
 
     /** Node-agent-triggered arena compaction; returns bytes freed. */
-    std::uint64_t compact()
-    {
-        std::uint64_t freed = arena_.compact();
-        update_arena_metrics();
-        return freed;
-    }
-
-    /**
-     * Attach this zswap instance to a machine's metric registry.
-     * Resolves the zswap.* metrics once; subsequent hot-path updates
-     * go through cached pointers. Null detaches (the default state).
-     */
-    void bind_metrics(MetricRegistry *registry);
+    std::uint64_t compact() { return arena_.compact(); }
 
     /** Physical bytes consumed by compressed payloads (arena pool). */
     std::uint64_t pool_bytes() const { return arena_.pool_bytes(); }
@@ -157,10 +156,11 @@ class Zswap : public FarTier
     /**
      * Checkpointable: snapshots the arena (entry table + size-class
      * occupancy), the integrity-checksum table in ascending handle
-     * order, the latency-jitter RNG, and the cumulative counters.
-     * The compressor backend and metric bindings are reconstructed
-     * wiring, not state. ckpt_load() rejects checksum tables that do
-     * not cover exactly the live arena handles.
+     * order, the latency-jitter RNG, the cumulative counters and the
+     * payload-size histogram. The compressor backend is
+     * reconstructed wiring, not state.
+     * ckpt_load() rejects checksum tables that do not cover exactly
+     * the live arena handles.
      */
     void ckpt_save(Serializer &s) const override;
     bool ckpt_load(Deserializer &d) override;
@@ -171,9 +171,6 @@ class Zswap : public FarTier
 #endif
 
   private:
-    /** Refresh the arena-level gauges after a store/load/compact. */
-    void update_arena_metrics();
-
     /** Checksum over what an entry should decompress to. */
     static std::uint64_t entry_checksum(std::uint64_t content_seed,
                                         std::uint32_t payload_size);
@@ -187,26 +184,6 @@ class Zswap : public FarTier
     bool verify_roundtrip_;
     /** Per-entry integrity checksums, keyed by live arena handle. */
     std::unordered_map<ZsHandle, std::uint64_t> checksums_;
-
-    // Cached registry metrics (null when unbound); the backing
-    // ZswapStats counters are serialized and digested.
-    // sdfm-state: non-semantic(metric handle; stats_ is on the wire)
-    Counter *m_stores_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is on the wire)
-    Counter *m_rejects_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is on the wire)
-    Counter *m_incompressible_marks_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is on the wire)
-    Counter *m_promotions_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is on the wire)
-    Counter *m_poisoned_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; arena stats are digested)
-    Gauge *m_arena_bytes_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; arena stats are digested)
-    Gauge *m_stored_pages_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; sizes derive from
-    // digested per-page content)
-    Histogram *m_payload_bytes_ = nullptr;
 };
 
 }  // namespace sdfm

@@ -9,10 +9,29 @@
 
 namespace sdfm {
 
+namespace {
+
+/** Pages ever demoted into a deep tier: only kreclaimd stores there. */
+std::uint64_t
+tier_stores(const FarTier &tier)
+{
+    switch (tier.kind()) {
+      case TierKind::kNvm:
+        return static_cast<const NvmTier &>(tier).stats().stores;
+      case TierKind::kRemote:
+        return static_cast<const RemoteTier &>(tier).stats().stores;
+      case TierKind::kZswap:
+        break;
+    }
+    SDFM_ASSERT(!"zswap is always the stack base");
+    return 0;
+}
+
+}  // namespace
+
 Machine::Machine(std::uint32_t machine_id, const MachineConfig &config,
                  std::uint64_t seed)
     : machine_id_(machine_id), config_(config), rng_(seed),
-      metrics_(std::make_unique<MetricRegistry>()),
       compressor_(make_compressor(config.compression,
                                   CostModel(config.cost_model))),
       kstaled_(config.kstaled), kreclaimd_(config.kreclaimd),
@@ -33,17 +52,6 @@ Machine::Machine(std::uint32_t machine_id, const MachineConfig &config,
                                          rng_.next_u64(),
                                          config_.verify_zswap_roundtrip);
     zswap_ = zswap.get();
-    rollup_metrics_.accesses = &metrics_->counter("machine.accesses");
-    rollup_metrics_.promotions = &metrics_->counter("machine.promotions");
-    rollup_metrics_.resident_pages =
-        &metrics_->gauge("machine.resident_pages");
-    rollup_metrics_.cold_pages = &metrics_->gauge("machine.cold_pages");
-    rollup_metrics_.far_memory_pages =
-        &metrics_->gauge("machine.far_memory_pages");
-    zswap_->bind_metrics(metrics_.get());
-    kstaled_.bind_metrics(metrics_.get());
-    kreclaimd_.bind_metrics(metrics_.get());
-    agent_.bind_metrics(metrics_.get());
 
     TierSpec base;
     base.label = "zswap";
@@ -104,26 +112,6 @@ Machine::Machine(std::uint32_t machine_id, const MachineConfig &config,
         tiers_.add_tier(spec, std::move(tier));
     }
     tiers_.check_invariants();
-
-    // tier.<label>.* metrics exist only for explicit stacks, keeping
-    // the legacy configurations' metric surface unchanged.
-    if (!config_.tiers.empty()) {
-        for (std::size_t i = 1; i < tiers_.size(); ++i) {
-            const TierSpec &spec = tiers_.entry(i).spec;
-            std::string prefix = "tier." + spec.label + ".";
-            TierMetricSet set;
-            set.demotions = &metrics_->counter(prefix + "demotions");
-            set.stored_pages =
-                &metrics_->gauge(prefix + "stored_pages");
-            set.utilization =
-                &metrics_->gauge(prefix + "utilization");
-            if (spec.breaker_enabled) {
-                set.breaker_state =
-                    &metrics_->gauge(prefix + "breaker_state");
-            }
-            tier_metrics_.push_back(set);
-        }
-    }
 }
 
 bool
@@ -206,6 +194,7 @@ Machine::step(SimTime now)
         for (auto &job : jobs_) {
             ScanResult scan = kstaled_.scan(job->memcg(), scan_phase_);
             counters_.kstaled_cycles += scan.cpu_cycles;
+            counters_.kstaled.record(scan);
         }
         ++scan_phase_;
         last_scan_ = period_end;
@@ -228,9 +217,8 @@ Machine::step(SimTime now)
             ReclaimResult reclaim =
                 kreclaimd_.reclaim_cold(job->memcg(), plan_);
             counters_.kreclaimd_cycles += reclaim.walk_cycles;
+            counters_.kreclaimd.record(reclaim, /*direct=*/false);
         }
-        for (std::size_t i = 0; i < tier_metrics_.size(); ++i)
-            tier_metrics_[i].demotions->inc(plan_.stored[i + 1]);
     }
 
     // Remote-tier donor failures: pages hosted by a failed donor are
@@ -256,8 +244,8 @@ Machine::step(SimTime now)
     handle_pressure(&result);
 
     // 5b. Fault plane roll-up: feed tier health into the circuit
-    // breaker and push per-step fault counter deltas.
-    update_fault_plane(&result);
+    // breakers.
+    update_fault_plane();
 
     // 6. Telemetry. Steps 4-5 may have evicted jobs, so the memcg
     // list from step 3 can hold dangling pointers -- rebuild it.
@@ -271,20 +259,16 @@ Machine::step(SimTime now)
     if (config_.compact_every > 0 && steps_ % config_.compact_every == 0)
         zswap_->compact();
 
-    // Machine-level roll-up metrics, once per control period.
-    rollup_metrics_.accesses->inc(result.accesses);
-    rollup_metrics_.promotions->inc(result.promotions);
-    rollup_metrics_.resident_pages->set(
-        static_cast<double>(resident_pages()));
-    rollup_metrics_.cold_pages->set(
-        static_cast<double>(cold_pages_min_threshold()));
-    rollup_metrics_.far_memory_pages->set(
-        static_cast<double>(far_memory_pages()));
-    for (std::size_t i = 0; i < tier_metrics_.size(); ++i) {
-        const FarTier &tier = tiers_.tier(i + 1);
-        tier_metrics_[i].stored_pages->set(
-            static_cast<double>(tier.used_pages()));
-        tier_metrics_[i].utilization->set(tier.utilization());
+    // Step-end levels for the machine.* and tier.* gauges: the
+    // cluster reschedules and churns jobs after this, before any
+    // snapshot is taken.
+    counters_.resident_pages = resident_pages();
+    counters_.cold_pages = cold_pages_min_threshold();
+    counters_.far_memory_pages = far_memory_pages();
+    for (std::size_t i = 1; i < tiers_.size(); ++i) {
+        TierStack::Entry &e = tiers_.entry(i);
+        e.step_end_used_pages = e.tier->used_pages();
+        e.step_end_utilization = e.tier->utilization();
     }
 
     check_invariants();
@@ -391,7 +375,6 @@ Machine::handle_pressure(MachineStepResult *result)
             static_cast<double>(config_.dram_pages));
         if (free_pages() < watermark) {
             ++counters_.direct_reclaims;
-            metrics_->counter("machine.direct_reclaims").inc();
             std::uint64_t want = 2 * watermark - free_pages();
             for (auto &job : jobs_) {
                 if (want == 0)
@@ -401,6 +384,7 @@ Machine::handle_pressure(MachineStepResult *result)
                 ReclaimResult reclaim = kreclaimd_.direct_reclaim(
                     job->memcg(), *zswap_, want);
                 counters_.kreclaimd_cycles += reclaim.walk_cycles;
+                counters_.kreclaimd.record(reclaim, /*direct=*/true);
                 // Allocation stalls: walking and compressing happen
                 // in the faulting task's context, so the whole cost
                 // is synchronous application slowdown.
@@ -445,7 +429,7 @@ Machine::handle_pressure(MachineStepResult *result)
         remove_job(id);
         result->evicted.push_back(id);
         ++counters_.evictions;
-        metrics_->counter("machine.evictions").inc();
+        ++counters_.oom_evictions;
     }
 }
 
@@ -607,7 +591,6 @@ Machine::apply_faults(SimTime now, SimTime period_end,
     if (events.empty())
         return;
     result->faults_injected += events.size();
-    metrics_->counter("fault.injected").inc(events.size());
 
     // Each event targets the shallowest tier of the matching kind --
     // the legacy single-tier behaviour; deeper duplicates are only
@@ -621,7 +604,6 @@ Machine::apply_faults(SimTime now, SimTime period_end,
             RemoteTier *remote =
                 static_cast<RemoteTier *>(&tiers_.tier(ri));
             ++result->donor_failures;
-            metrics_->counter("fault.donor_failures").inc();
             std::size_t before = result->evicted.size();
             if (remote->pooled()) {
                 // Pooled mode: the victim is a live lease, drawn over
@@ -635,17 +617,12 @@ Machine::apply_faults(SimTime now, SimTime period_end,
                         remote->params().num_donors));
                 kill_victims(remote->fail_donor(donor), result);
             }
-            metrics_->counter("fault.jobs_killed")
-                .inc(result->evicted.size() - before);
+            counters_.fault_kills += result->evicted.size() - before;
             break;
           }
           case FaultKind::kZswapCorruption: {
-            std::uint64_t corrupted = 0;
-            for (std::uint32_t i = 0; i < event.magnitude; ++i) {
-                if (zswap_->corrupt_entry(fault_.target_rng()))
-                    ++corrupted;
-            }
-            metrics_->counter("fault.corruptions").inc(corrupted);
+            for (std::uint32_t i = 0; i < event.magnitude; ++i)
+                zswap_->corrupt_entry(fault_.target_rng());
             break;
           }
           case FaultKind::kRemoteDegrade: {
@@ -683,15 +660,10 @@ Machine::apply_faults(SimTime now, SimTime period_end,
             if (ni < tiers_.size()) {
                 NvmTier *nvm =
                     static_cast<NvmTier *>(&tiers_.tier(ni));
-                std::uint64_t cap_before = nvm->capacity_pages();
                 std::uint64_t overflow = nvm->lose_capacity(
                     config_.fault.capacity_loss_frac);
-                metrics_->counter("fault.nvm_capacity_lost_pages")
-                    .inc(cap_before - nvm->capacity_pages());
-                std::uint64_t spilled =
+                counters_.nvm_spillover_pages +=
                     spill_tier_overflow(ni, overflow);
-                metrics_->counter("fault.nvm_spillover_pages")
-                    .inc(spilled);
             }
             break;
           }
@@ -717,9 +689,8 @@ Machine::apply_faults(SimTime now, SimTime period_end,
 }
 
 void
-Machine::update_fault_plane(MachineStepResult *result)
+Machine::update_fault_plane()
 {
-    (void)result;
     for (std::size_t i = 1; i < tiers_.size(); ++i) {
         TierStack::Entry &e = tiers_.entry(i);
         std::uint64_t fail_delta = 0;
@@ -727,14 +698,6 @@ Machine::update_fault_plane(MachineStepResult *result)
             const RemoteTierStats &s =
                 static_cast<RemoteTier *>(e.tier)->stats();
             fail_delta += s.read_failures - e.seen_read_failures;
-            if (s.read_retries != e.seen_read_retries) {
-                metrics_->counter("fault.remote_read_retries")
-                    .inc(s.read_retries - e.seen_read_retries);
-            }
-            if (s.reads_exhausted != e.seen_reads_exhausted) {
-                metrics_->counter("fault.remote_reads_exhausted")
-                    .inc(s.reads_exhausted - e.seen_reads_exhausted);
-            }
             e.seen_read_failures = s.read_failures;
             e.seen_read_retries = s.read_retries;
             e.seen_reads_exhausted = s.reads_exhausted;
@@ -742,31 +705,15 @@ Machine::update_fault_plane(MachineStepResult *result)
             const NvmTierStats &s =
                 static_cast<NvmTier *>(e.tier)->stats();
             fail_delta += s.media_errors - e.seen_media_errors;
-            if (s.media_errors != e.seen_media_errors) {
-                metrics_->counter("fault.nvm_media_errors")
-                    .inc(s.media_errors - e.seen_media_errors);
-            }
             e.seen_media_errors = s.media_errors;
         }
         if (!e.spec.breaker_enabled)
             continue;
-        if (fail_delta > 0) {
-            if (e.breaker.record_failure())
-                metrics_->counter("fault.tier_breaker_opens").inc();
-        } else {
+        if (fail_delta > 0)
+            e.breaker.record_failure();
+        else
             e.breaker.record_success();
-        }
         e.breaker.tick();
-        double state = static_cast<double>(
-            static_cast<std::uint8_t>(e.breaker.state()));
-        // Historical gauge name for the first deep tier; explicit
-        // stacks additionally get per-label breaker gauges.
-        if (i == 1)
-            metrics_->gauge("fault.tier_breaker_state").set(state);
-        if (!tier_metrics_.empty() &&
-            tier_metrics_[i - 1].breaker_state != nullptr) {
-            tier_metrics_[i - 1].breaker_state->set(state);
-        }
     }
 }
 
@@ -807,10 +754,20 @@ Machine::ckpt_save(Serializer &s) const
     for (std::size_t i = 1; i < tiers_.size(); ++i)
         tiers_.tier(i).ckpt_save(s);
     agent_.ckpt_save(s);
-    // Registry last: on restore, agent_.ckpt_load() re-registers the
-    // controller metrics, which must exist before the checkpointed
-    // values overwrite them.
-    metrics_->ckpt_save(s);
+
+    // Telemetry-only counters and step-end samples.
+    s.put_u64(counters_.oom_evictions);
+    s.put_u64(counters_.fault_kills);
+    s.put_u64(counters_.nvm_spillover_pages);
+    counters_.kstaled.ckpt_save(s);
+    counters_.kreclaimd.ckpt_save(s);
+    s.put_u64(counters_.resident_pages);
+    s.put_u64(counters_.cold_pages);
+    s.put_u64(counters_.far_memory_pages);
+    for (std::size_t i = 1; i < tiers_.size(); ++i) {
+        s.put_u64(tiers_.entry(i).step_end_used_pages);
+        s.put_double(tiers_.entry(i).step_end_utilization);
+    }
 }
 
 bool
@@ -872,6 +829,21 @@ Machine::ckpt_load(Deserializer &d)
     if (!agent_.ckpt_load(d))
         return false;
 
+    counters_.oom_evictions = d.get_u64();
+    counters_.fault_kills = d.get_u64();
+    counters_.nvm_spillover_pages = d.get_u64();
+    if (!counters_.kstaled.ckpt_load(d) ||
+        !counters_.kreclaimd.ckpt_load(d)) {
+        return false;
+    }
+    counters_.resident_pages = d.get_u64();
+    counters_.cold_pages = d.get_u64();
+    counters_.far_memory_pages = d.get_u64();
+    for (std::size_t i = 1; i < tiers_.size(); ++i) {
+        tiers_.entry(i).step_end_used_pages = d.get_u64();
+        tiers_.entry(i).step_end_utilization = d.get_double();
+    }
+
     // Cross-structure accounting: the agent manages exactly the
     // machine's jobs, per-job far-memory residency reconciles with
     // the store and tier, and DRAM capacity is respected (checkpoints
@@ -898,10 +870,137 @@ Machine::ckpt_load(Deserializer &d)
         return false;
     }
 
-    if (!metrics_->ckpt_load(d))
-        return false;
     check_invariants();
     return d.ok();
+}
+
+MetricsSnapshot
+Machine::telemetry_snapshot() const
+{
+    MetricsSnapshot snap;
+    auto &counters = snap.counters;
+    auto &gauges = snap.gauges;
+    auto &histograms = snap.histograms;
+    auto level = [](std::uint64_t v) { return static_cast<double>(v); };
+
+    counters["machine.accesses"] = counters_.accesses;
+    counters["machine.promotions"] = counters_.promotions;
+    gauges["machine.resident_pages"] = level(counters_.resident_pages);
+    gauges["machine.cold_pages"] = level(counters_.cold_pages);
+    gauges["machine.far_memory_pages"] = level(counters_.far_memory_pages);
+    // Event-driven rows appear with their first event.
+    if (counters_.direct_reclaims > 0)
+        counters["machine.direct_reclaims"] = counters_.direct_reclaims;
+    if (counters_.oom_evictions > 0)
+        counters["machine.evictions"] = counters_.oom_evictions;
+
+    const ZswapStats &zs = zswap_->stats();
+    counters["zswap.stores"] = zs.stores;
+    counters["zswap.rejects"] = zs.rejects;
+    counters["zswap.incompressible_marks"] = zs.rejects;
+    counters["zswap.promotions"] = zs.promotions;
+    counters["zswap.poisoned_entries"] = zs.poisoned_entries;
+    gauges["zswap.arena_bytes"] = level(zswap_->pool_bytes());
+    gauges["zswap.stored_pages"] = level(zswap_->stored_pages());
+    histograms["zswap.payload_bytes"] = zs.payload_bytes;
+
+    const KstaledStats &ks = counters_.kstaled;
+    counters["kstaled.scans"] = ks.scans;
+    counters["kstaled.pages_scanned"] = ks.pages_scanned;
+    counters["kstaled.pages_accessed"] = ks.pages_accessed;
+    histograms["kstaled.scan_cycles"] = ks.scan_cycles;
+
+    const KreclaimdStats &kr = counters_.kreclaimd;
+    counters["kreclaimd.passes"] = kr.passes;
+    counters["kreclaimd.direct_passes"] = kr.direct_passes;
+    counters["kreclaimd.pages_walked"] = kr.pages_walked;
+    counters["kreclaimd.pages_stored"] = kr.pages_stored;
+    // Historical name: "nvm" meant "the (only) deep tier" before the
+    // stack generalization. Kept so dashboards and baselines compare.
+    counters["kreclaimd.pages_to_nvm"] = kr.pages_to_tier;
+    counters["kreclaimd.pages_rejected"] = kr.pages_rejected;
+    counters["kreclaimd.huge_splits"] = kr.huge_splits;
+    histograms["kreclaimd.pass_cycles"] = kr.pass_cycles;
+
+    const NodeAgentStats &as = agent_.stats();
+    counters["agent.control_rounds"] = as.control_rounds;
+    counters["agent.slo_violations"] = as.slo_violations;
+    counters["agent.restarts"] = as.restarts;
+    counters["agent.slo_breaker_trips"] = as.slo_breaker_trips;
+    gauges["agent.jobs"] = level(as.jobs);
+    gauges["agent.threshold_sum"] = as.threshold_sum;
+    histograms["agent.promo_rate"] = as.promo_rate;
+    counters["controller.updates"] = as.controller_updates;
+    counters["controller.slo_unsatisfiable"] =
+        as.controller_slo_unsatisfiable;
+    histograms["controller.threshold"] = as.controller_threshold;
+
+    // Fault plane: each row appears with its first event. Donor and
+    // NVM faults only land when the stack has a tier of that kind.
+    const FaultStats &fs = fault_.stats();
+    bool has_remote = tiers_.find(TierKind::kRemote) < tiers_.size();
+    std::size_t ni = tiers_.find(TierKind::kNvm);
+    if (fs.injected_total > 0)
+        counters["fault.injected"] = fs.injected_total;
+    if (has_remote && fs.donor_failures > 0) {
+        counters["fault.donor_failures"] = fs.donor_failures;
+        counters["fault.jobs_killed"] = counters_.fault_kills;
+    }
+    if (fs.zswap_corruptions > 0)
+        counters["fault.corruptions"] = zs.corruptions_injected;
+    if (ni < tiers_.size() && fs.nvm_capacity_losses > 0) {
+        counters["fault.nvm_capacity_lost_pages"] =
+            static_cast<const NvmTier &>(tiers_.tier(ni))
+                .stats()
+                .capacity_lost_pages;
+        counters["fault.nvm_spillover_pages"] =
+            counters_.nvm_spillover_pages;
+    }
+    std::uint64_t read_retries = 0;
+    std::uint64_t reads_exhausted = 0;
+    std::uint64_t media_errors = 0;
+    std::uint64_t breaker_opens = 0;
+    for (std::size_t i = 1; i < tiers_.size(); ++i) {
+        const TierStack::Entry &e = tiers_.entry(i);
+        read_retries += e.seen_read_retries;
+        reads_exhausted += e.seen_reads_exhausted;
+        media_errors += e.seen_media_errors;
+        if (e.spec.breaker_enabled)
+            breaker_opens += e.breaker.stats().opens;
+    }
+    if (read_retries > 0)
+        counters["fault.remote_read_retries"] = read_retries;
+    if (reads_exhausted > 0)
+        counters["fault.remote_reads_exhausted"] = reads_exhausted;
+    if (media_errors > 0)
+        counters["fault.nvm_media_errors"] = media_errors;
+    if (breaker_opens > 0)
+        counters["fault.tier_breaker_opens"] = breaker_opens;
+    auto breaker_level = [](const CircuitBreaker &b) {
+        return static_cast<double>(static_cast<std::uint8_t>(b.state()));
+    };
+    // Historical gauge for the first deep tier's breaker, first set
+    // by the first step's fault-plane update.
+    if (steps_ > 0 && tiers_.deep_size() > 0 &&
+        tiers_.entry(1).spec.breaker_enabled) {
+        gauges["fault.tier_breaker_state"] =
+            breaker_level(tiers_.entry(1).breaker);
+    }
+
+    // Per-tier rows exist only for explicit stacks, keeping the
+    // legacy configurations' metric surface unchanged.
+    if (!config_.tiers.empty()) {
+        for (std::size_t i = 1; i < tiers_.size(); ++i) {
+            const TierStack::Entry &e = tiers_.entry(i);
+            std::string prefix = "tier." + e.spec.label + ".";
+            counters[prefix + "demotions"] += tier_stores(*e.tier);
+            gauges[prefix + "stored_pages"] = level(e.step_end_used_pages);
+            gauges[prefix + "utilization"] = e.step_end_utilization;
+            if (e.spec.breaker_enabled)
+                gauges[prefix + "breaker_state"] = breaker_level(e.breaker);
+        }
+    }
+    return snap;
 }
 
 std::uint64_t

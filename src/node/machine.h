@@ -30,7 +30,7 @@
 #include "mem/zswap.h"
 #include "node/node_agent.h"
 #include "node/policy.h"
-#include "telemetry/registry.h"
+#include "telemetry/snapshot.h"
 #include "util/units.h"
 #include "workload/job.h"
 #include "workload/trace.h"
@@ -129,15 +129,35 @@ struct MachineConfig
     CircuitBreakerParams slo_breaker;
 };
 
-/** Machine-level cumulative counters. */
+/**
+ * Machine-level cumulative counters. The first six fold into
+ * state_digest(); the rest are telemetry only (checkpointed, not
+ * digested).
+ */
 struct MachineCounters
 {
     std::uint64_t accesses = 0;
     std::uint64_t promotions = 0;
     std::uint64_t direct_reclaims = 0;     ///< pressure events
-    std::uint64_t evictions = 0;           ///< jobs killed for OOM
+    /** Jobs killed against their will: OOM, donor failures, and
+     *  failed leases. */
+    std::uint64_t evictions = 0;
     double kstaled_cycles = 0.0;
     double kreclaimd_cycles = 0.0;
+
+    std::uint64_t oom_evictions = 0;  ///< the OOM subset of evictions
+    /** Jobs killed by fault-plane donor failures. */
+    std::uint64_t fault_kills = 0;
+    /** Pages re-homed in zswap after NVM capacity-loss faults. */
+    std::uint64_t nvm_spillover_pages = 0;
+
+    KstaledStats kstaled;
+    KreclaimdStats kreclaimd;
+
+    /** Levels sampled at the end of the last step. */
+    std::uint64_t resident_pages = 0;
+    std::uint64_t cold_pages = 0;
+    std::uint64_t far_memory_pages = 0;
 };
 
 /** Result of one machine step. */
@@ -263,6 +283,7 @@ class Machine
     const std::vector<std::unique_ptr<Job>> &jobs() const { return jobs_; }
     Job *find_job(JobId id);
     Zswap &zswap() { return *zswap_; }
+    const Zswap &zswap() const { return *zswap_; }
 
     /**
      * The machine's full memory-tier stack: zswap at index 0, deeper
@@ -314,12 +335,13 @@ class Machine
                     std::uint64_t epoch, bool conservative);
 
     /**
-     * The machine's metric registry. Every daemon and agent on the
-     * machine is bound to it at construction; Cluster merges these
-     * per-machine registries into cluster- and fleet-level rollups.
+     * The machine.*, zswap.*, kstaled.*, kreclaimd.*, agent.*,
+     * controller.*, fault.* and tier.<label>.* metrics, read from the
+     * stats structs that own each event. Gauges sampled inside step()
+     * keep their sampling point. Cluster merges these into the
+     * cluster- and fleet-level rollups.
      */
-    MetricRegistry &metrics() { return *metrics_; }
-    const MetricRegistry &metrics() const { return *metrics_; }
+    MetricsSnapshot telemetry_snapshot() const;
 
     /** Telemetry sink; null disables export. */
     void set_trace_sink(TraceLog *sink) { trace_sink_ = sink; }
@@ -348,8 +370,8 @@ class Machine
      * cumulative counters, scan/telemetry cadence anchors, the fault
      * plane (injector, tier breaker, degradation windows, last-seen
      * failure counters), every job in placement order, the zswap
-     * store with its arena, the second tier, the node agent, and --
-     * last -- the metric registry. ckpt_load() expects a freshly
+     * store with its arena, the deep tiers, and the node agent.
+     * ckpt_load() expects a freshly
      * constructed Machine with the identical MachineConfig; it
      * cross-checks the restored accounting (per-job far-memory
      * residency vs store/tier occupancy, agent job membership, DRAM
@@ -378,19 +400,14 @@ class Machine
     std::uint64_t spill_tier_overflow(std::size_t tier_index,
                                       std::uint64_t overflow);
 
-    /** Feed tier health into the breaker and push fault.* metrics. */
-    void update_fault_plane(MachineStepResult *result);
+    /** Feed tier health into the breakers. */
+    void update_fault_plane();
 
     std::uint32_t machine_id_;
     // sdfm-state: config(fixed at construction; checkpoints compare
     // config fingerprints rather than carrying it on the wire)
     MachineConfig config_;
     Rng rng_;
-    /** Owned registry; by pointer so bound metric addresses survive
-     *  any future move of the Machine object.
-     *  sdfm-state: non-semantic(telemetry mirror of counters_ and the
-     *  daemon stats, all of which are serialized and digested) */
-    std::unique_ptr<MetricRegistry> metrics_;
     // sdfm-state: config(stateless functor chosen by config_.model;
     // rebuilt identically from config at construction)
     std::unique_ptr<Compressor> compressor_;
@@ -437,35 +454,6 @@ class Machine
     FaultInjector fault_;
     // Per-tier breakers, degradation windows, and last-seen fault
     // counters live on the TierStack entries.
-
-    /** Cached machine.* roll-up metric handles, bound at construction. */
-    struct RollupMetricSet
-    {
-        Counter *accesses = nullptr;
-        Counter *promotions = nullptr;
-        Gauge *resident_pages = nullptr;
-        Gauge *cold_pages = nullptr;
-        Gauge *far_memory_pages = nullptr;
-    };
-    // sdfm-state: non-semantic(registry-owned metric handles; the
-    // counters and page counts they mirror are digested)
-    RollupMetricSet rollup_metrics_;
-
-    /**
-     * Cached tier.<label>.* metric handles, one per deep tier, bound
-     * only when config_.tiers is explicitly non-empty so legacy
-     * configurations keep their historical metric surface.
-     */
-    struct TierMetricSet
-    {
-        Counter *demotions = nullptr;
-        Gauge *stored_pages = nullptr;
-        Gauge *utilization = nullptr;
-        Gauge *breaker_state = nullptr;  ///< null unless breaker on
-    };
-    // sdfm-state: non-semantic(registry-owned metric handles; the
-    // backing tier occupancy and breaker state are digested)
-    std::vector<TierMetricSet> tier_metrics_;
 };
 
 }  // namespace sdfm

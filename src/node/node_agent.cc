@@ -11,31 +11,34 @@ NodeAgent::NodeAgent(const NodeAgentConfig &config) : config_(config)
 }
 
 void
-NodeAgent::bind_metrics(MetricRegistry *registry)
+NodeAgentStats::ckpt_save(Serializer &s) const
 {
-    registry_ = registry;
-    if (registry == nullptr) {
-        m_control_rounds_ = nullptr;
-        m_slo_violations_ = nullptr;
-        m_restarts_ = nullptr;
-        m_slo_breaker_trips_ = nullptr;
-        m_jobs_ = nullptr;
-        m_threshold_sum_ = nullptr;
-        m_promo_rate_ = nullptr;
-        return;
-    }
-    m_control_rounds_ = &registry->counter("agent.control_rounds");
-    m_slo_violations_ = &registry->counter("agent.slo_violations");
-    m_restarts_ = &registry->counter("agent.restarts");
-    m_slo_breaker_trips_ = &registry->counter("agent.slo_breaker_trips");
-    m_jobs_ = &registry->gauge("agent.jobs");
-    m_threshold_sum_ = &registry->gauge("agent.threshold_sum");
-    // Realized promotion rate as a fraction of WSS per minute; the
-    // SLO target (0.002) sits inside the grid so violations are
-    // visible as the tail beyond it.
-    m_promo_rate_ = &registry->histogram(
-        "agent.promo_rate",
-        {0.0, 0.0005, 0.001, 0.002, 0.004, 0.008, 0.02, 0.1, 1.0});
+    s.put_u64(restarts);
+    s.put_u64(slo_breaker_trips);
+    s.put_u64(control_rounds);
+    s.put_u64(slo_violations);
+    s.put_u64(jobs);
+    s.put_double(threshold_sum);
+    promo_rate.ckpt_save(s);
+    s.put_u64(controller_updates);
+    s.put_u64(controller_slo_unsatisfiable);
+    controller_threshold.ckpt_save(s);
+}
+
+bool
+NodeAgentStats::ckpt_load(Deserializer &d)
+{
+    restarts = d.get_u64();
+    slo_breaker_trips = d.get_u64();
+    control_rounds = d.get_u64();
+    slo_violations = d.get_u64();
+    jobs = d.get_u64();
+    threshold_sum = d.get_double();
+    if (!promo_rate.ckpt_load(d))
+        return false;
+    controller_updates = d.get_u64();
+    controller_slo_unsatisfiable = d.get_u64();
+    return controller_threshold.ckpt_load(d);
 }
 
 NodeAgent::JobState
@@ -46,8 +49,7 @@ NodeAgent::make_state(const Memcg &cg, SimTime job_start) const
     // (the kernel keeps counting while the agent is down, and a
     // restarted agent must not interpret that backlog as one
     // period's delta).
-    return JobState{ThresholdController(config_.slo, job_start,
-                                        registry_),
+    return JobState{ThresholdController(config_.slo, job_start),
                     cg.promo_hist(), cg.promo_hist(), cg.stats(),
                     cg.stats().zswap_promotions,
                     CircuitBreaker(config_.slo_breaker)};
@@ -65,8 +67,6 @@ void
 NodeAgent::crash_restart(SimTime now, std::vector<Memcg *> &jobs)
 {
     ++stats_.restarts;
-    if (m_restarts_ != nullptr)
-        m_restarts_->inc();
     jobs_.clear();
     for (Memcg *cg : jobs) {
         jobs_.emplace(cg->id(), make_state(*cg, now));
@@ -113,11 +113,9 @@ NodeAgent::control(SimTime now, std::vector<Memcg *> &jobs,
             double rate = static_cast<double>(delta_promos) /
                           static_cast<double>(wss) / period_minutes;
             breached = rate > config_.slo.target_promotion_rate;
-            if (m_promo_rate_ != nullptr) {
-                m_promo_rate_->observe(rate);
-                if (breached)
-                    m_slo_violations_->inc();
-            }
+            stats_.promo_rate.observe(rate);
+            if (breached)
+                ++stats_.slo_violations;
         }
 
         // Per-job SLO circuit breaker: N consecutive breached periods
@@ -126,11 +124,8 @@ NodeAgent::control(SimTime now, std::vector<Memcg *> &jobs,
         bool slo_forced_off = false;
         if (config_.slo_breaker_enabled) {
             if (breached) {
-                if (state.slo_breaker.record_failure()) {
+                if (state.slo_breaker.record_failure())
                     ++stats_.slo_breaker_trips;
-                    if (m_slo_breaker_trips_ != nullptr)
-                        m_slo_breaker_trips_->inc();
-                }
             } else {
                 state.slo_breaker.record_success();
             }
@@ -147,6 +142,14 @@ NodeAgent::control(SimTime now, std::vector<Memcg *> &jobs,
             threshold = state.controller.update(now, delta,
                                                 cg->wss_pages(),
                                                 period_minutes);
+            ++stats_.controller_updates;
+            // 255: even the coldest bucket would blow the promotion
+            // budget this period; the job is effectively
+            // un-zswappable.
+            if (state.controller.last_observation() == 255)
+                ++stats_.controller_slo_unsatisfiable;
+            stats_.controller_threshold.observe(
+                static_cast<double>(threshold));
             break;
           }
           case FarMemoryPolicy::kStatic:
@@ -171,11 +174,9 @@ NodeAgent::control(SimTime now, std::vector<Memcg *> &jobs,
         cg->set_soft_limit_pages(cg->wss_pages());
         threshold_sum += static_cast<double>(threshold);
     }
-    if (m_control_rounds_ != nullptr) {
-        m_control_rounds_->inc();
-        m_jobs_->set(static_cast<double>(jobs.size()));
-        m_threshold_sum_->set(threshold_sum);
-    }
+    ++stats_.control_rounds;
+    stats_.jobs = jobs.size();
+    stats_.threshold_sum = threshold_sum;
 }
 
 void
@@ -230,8 +231,7 @@ NodeAgent::ckpt_save(Serializer &s) const
 {
     ckpt_save_slo(s, config_.slo);
     s.put_u64(config_epoch_);
-    s.put_u64(stats_.restarts);
-    s.put_u64(stats_.slo_breaker_trips);
+    stats_.ckpt_save(s);
 
     std::vector<JobId> ids;
     ids.reserve(jobs_.size());
@@ -260,8 +260,8 @@ NodeAgent::ckpt_load(Deserializer &d)
     if (!ckpt_load_slo(d, config_.slo))
         return false;
     config_epoch_ = d.get_u64();
-    stats_.restarts = d.get_u64();
-    stats_.slo_breaker_trips = d.get_u64();
+    if (!stats_.ckpt_load(d))
+        return false;
 
     jobs_.clear();
     std::size_t num = d.get_size(d.remaining() / 64, 64);
@@ -274,7 +274,7 @@ NodeAgent::ckpt_load(Deserializer &d)
             return false;
         prev_id = id;
         JobState state{
-            ThresholdController(config_.slo, 0, registry_),
+            ThresholdController(config_.slo, 0),
             AgeHistogram{}, AgeHistogram{}, MemcgStats{}, 0,
             CircuitBreaker(config_.slo_breaker)};
         if (!state.controller.ckpt_load(d))

@@ -19,7 +19,7 @@
 #include "node/policy.h"
 #include "node/slo.h"
 #include "node/threshold_controller.h"
-#include "telemetry/registry.h"
+#include "telemetry/metric.h"
 #include "workload/trace.h"
 
 namespace sdfm {
@@ -44,11 +44,42 @@ struct NodeAgentConfig
     CircuitBreakerParams slo_breaker;
 };
 
-/** Node-agent fault/recovery counters. */
+/**
+ * Node-agent counters: the agent.* and controller.* metrics. Only the
+ * agent writes them, from its own control rounds; they survive
+ * crash_restart() (the process restarted, the machine's telemetry
+ * did not). Checkpointed, not digested.
+ */
 struct NodeAgentStats
 {
     std::uint64_t restarts = 0;           ///< crash_restart() calls
     std::uint64_t slo_breaker_trips = 0;  ///< per-job breakers opened
+    std::uint64_t control_rounds = 0;
+    std::uint64_t slo_violations = 0;  ///< job-periods over the SLO
+
+    /** Jobs controlled, and the sum of the thresholds chosen, in the
+     *  last control round (gauges sampled there). */
+    std::uint64_t jobs = 0;
+    double threshold_sum = 0.0;
+
+    /** Realized promotion rate per job-period, as a fraction of WSS
+     *  per minute; the SLO target (0.002) sits inside the grid so
+     *  violations are visible as the tail beyond it. */
+    HistogramData promo_rate{
+        {0.0, 0.0005, 0.001, 0.002, 0.004, 0.008, 0.02, 0.1, 1.0}};
+
+    /** Threshold-controller updates, and those whose period no
+     *  threshold could have kept within the SLO budget. */
+    std::uint64_t controller_updates = 0;
+    std::uint64_t controller_slo_unsatisfiable = 0;
+
+    /** Thresholds the controllers chose (0 while warming up);
+     *  8-bit age buckets on a power-of-two grid. */
+    HistogramData controller_threshold{
+        {0, 1, 2, 4, 8, 16, 32, 64, 128, 255}};
+
+    void ckpt_save(Serializer &s) const;
+    bool ckpt_load(Deserializer &d);
 };
 
 /** One machine's node agent. */
@@ -135,19 +166,10 @@ class NodeAgent
      * may have diverged from the construction config via set_slo),
      * the restart counters, and every per-job control state --
      * controller, histogram snapshots, SLI snapshot, and SLO breaker
-     * -- in ascending job-id order. bind_metrics() state is not
-     * serialized; call it before ckpt_load() so rebuilt controllers
-     * bind to the live registry.
+     * -- in ascending job-id order.
      */
     void ckpt_save(Serializer &s) const;
     bool ckpt_load(Deserializer &d);
-
-    /**
-     * Attach to the machine's metric registry (agent.* metrics, and
-     * controller.* metrics for every controller created afterwards).
-     * Call before jobs register; null detaches for future jobs.
-     */
-    void bind_metrics(MetricRegistry *registry);
 
   private:
     struct JobState
@@ -173,26 +195,6 @@ class NodeAgent
      *  its controller state, not the config version it runs. */
     std::uint64_t config_epoch_ = 0;
     std::unordered_map<JobId, JobState> jobs_;
-
-    // sdfm-state: rebuilt-on-resolve(borrowed registry wired by the
-    // owning Machine; ckpt_load only re-binds the handles below)
-    MetricRegistry *registry_ = nullptr;
-    // Cached registry metrics (null when unbound); the backing
-    // NodeAgentStats counters are serialized.
-    // sdfm-state: non-semantic(metric handle; stats_ is on the wire)
-    Counter *m_control_rounds_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is on the wire)
-    Counter *m_slo_violations_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is on the wire)
-    Counter *m_restarts_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; stats_ is on the wire)
-    Counter *m_slo_breaker_trips_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; recomputed gauge)
-    Gauge *m_jobs_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; recomputed gauge)
-    Gauge *m_threshold_sum_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; observation stream)
-    Histogram *m_promo_rate_ = nullptr;
 };
 
 }  // namespace sdfm

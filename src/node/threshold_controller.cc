@@ -10,21 +10,10 @@
 namespace sdfm {
 
 ThresholdController::ThresholdController(const SloConfig &slo,
-                                         SimTime job_start,
-                                         MetricRegistry *metrics)
+                                         SimTime job_start)
     : slo_(slo), job_start_(job_start)
 {
     SDFM_ASSERT(slo_.history_window > 0);
-    if (metrics != nullptr) {
-        m_updates_ = &metrics->counter("controller.updates");
-        m_slo_unsatisfiable_ =
-            &metrics->counter("controller.slo_unsatisfiable");
-        // Thresholds are 8-bit age buckets; a power-of-two grid keeps
-        // the common low values distinguishable.
-        m_threshold_ = &metrics->histogram(
-            "controller.threshold",
-            {0, 1, 2, 4, 8, 16, 32, 64, 128, 255});
-    }
 }
 
 void
@@ -107,20 +96,10 @@ ThresholdController::update(SimTime now, const AgeHistogram &promo_delta,
     pool_push(best);
     pool_trim();
 
-    if (m_updates_ != nullptr) {
-        m_updates_->inc();
-        // 255 = even the coldest bucket would blow the promotion
-        // budget this period; the job is effectively un-zswappable.
-        if (best == 255)
-            m_slo_unsatisfiable_->inc();
-    }
-
     if (now - job_start_ < slo_.enable_delay) {
         // Insufficient history: zswap disabled, but the pool still
         // accumulates observations for when it turns on.
         current_ = 0;
-        if (m_threshold_ != nullptr)
-            m_threshold_->observe(0.0);
         check_invariants();
         return current_;
     }
@@ -128,8 +107,6 @@ ThresholdController::update(SimTime now, const AgeHistogram &promo_delta,
     // K-th percentile of past bests; react immediately if the last
     // period was worse (needs a higher threshold) than the pool says.
     current_ = std::max(pool_percentile(), best);
-    if (m_threshold_ != nullptr)
-        m_threshold_->observe(static_cast<double>(current_));
     check_invariants();
     return current_;
 }

@@ -23,7 +23,6 @@
 #include <deque>
 
 #include "node/slo.h"
-#include "telemetry/registry.h"
 #include "util/age_histogram.h"
 #include "util/sim_time.h"
 
@@ -36,14 +35,8 @@ class ThresholdController
     /**
      * @param slo SLO and tunables.
      * @param job_start Job start time (for the S-second delay).
-     * @param metrics Optional machine registry for the controller.*
-     *        metrics (chosen thresholds, unsatisfiable periods).
-     *        Purely observational: a null registry changes nothing
-     *        about the control decisions, preserving the class's
-     *        online/offline equivalence.
      */
-    ThresholdController(const SloConfig &slo, SimTime job_start,
-                        MetricRegistry *metrics = nullptr);
+    ThresholdController(const SloConfig &slo, SimTime job_start);
 
     /**
      * Feed one control-period observation and compute the threshold
@@ -61,6 +54,16 @@ class ThresholdController
 
     /** The threshold chosen by the last update (0 = disabled). */
     AgeBucket current_threshold() const { return current_; }
+
+    /**
+     * The best threshold the last update() observed and pushed into
+     * the pool; 255 means even the coldest bucket would have blown
+     * the period's promotion budget. 0 before any update.
+     */
+    AgeBucket last_observation() const
+    {
+        return pool_.empty() ? 0 : pool_.back();
+    }
 
     /** Start of the S-second delay window (job start, or the agent's
      *  restart time after a crash -- see NodeAgent::crash_restart). */
@@ -98,8 +101,7 @@ class ThresholdController
     /**
      * Checkpointable-shaped snapshot: the (possibly autotuner-
      * deployed) tunables, the delay-window anchor, the best-threshold
-     * pool in order, and the current threshold. The registry binding
-     * is construction state and is not serialized.
+     * pool in order, and the current threshold.
      */
     void ckpt_save(Serializer &s) const;
     bool ckpt_load(Deserializer &d);
@@ -142,15 +144,6 @@ class ThresholdController
      *  ckpt_load rebuilds it from the serialized pool) */
     std::array<std::uint32_t, kAgeBuckets> pool_counts_{};
     AgeBucket current_ = 0;
-
-    // Cached registry metrics (null when unbound), re-bound by the
-    // agent after load; decisions themselves are ckpt-covered.
-    // sdfm-state: non-semantic(metric handle; telemetry only)
-    Counter *m_updates_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; telemetry only)
-    Counter *m_slo_unsatisfiable_ = nullptr;
-    // sdfm-state: non-semantic(metric handle; telemetry only)
-    Histogram *m_threshold_ = nullptr;
 };
 
 }  // namespace sdfm

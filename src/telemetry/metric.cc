@@ -1,10 +1,28 @@
 #include "telemetry/metric.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/logging.h"
 
 namespace sdfm {
+
+HistogramData::HistogramData(std::vector<double> bounds)
+    : upper_bounds(std::move(bounds)), counts(upper_bounds.size() + 1, 0)
+{
+    SDFM_ASSERT(!upper_bounds.empty());
+    SDFM_ASSERT(std::is_sorted(upper_bounds.begin(), upper_bounds.end()));
+}
+
+void
+HistogramData::observe(double value)
+{
+    auto it =
+        std::lower_bound(upper_bounds.begin(), upper_bounds.end(), value);
+    ++counts[static_cast<std::size_t>(it - upper_bounds.begin())];
+    ++total_count;
+    sum += value;
+}
 
 double
 HistogramData::percentile(double p) const
@@ -53,57 +71,30 @@ HistogramData::merge(const HistogramData &other)
     sum += other.sum;
 }
 
-Histogram::Histogram(const std::vector<double> &upper_bounds)
-    : bounds_(upper_bounds), buckets_(upper_bounds.size() + 1)
-{
-    SDFM_ASSERT(!bounds_.empty());
-    SDFM_ASSERT(std::is_sorted(bounds_.begin(), bounds_.end()));
-}
-
 void
-Histogram::observe(double value)
+HistogramData::ckpt_save(Serializer &s) const
 {
-    auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-    std::size_t bucket =
-        static_cast<std::size_t>(it - bounds_.begin());
-    buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    double cur = sum_.load(std::memory_order_relaxed);
-    while (!sum_.compare_exchange_weak(cur, cur + value,
-                                       std::memory_order_relaxed))
-        ;
-}
-
-HistogramData
-Histogram::data() const
-{
-    HistogramData d;
-    d.upper_bounds = bounds_;
-    d.counts.reserve(buckets_.size());
-    for (const auto &bucket : buckets_)
-        d.counts.push_back(bucket.load(std::memory_order_relaxed));
-    d.total_count = count_.load(std::memory_order_relaxed);
-    d.sum = sum_.load(std::memory_order_relaxed);
-    // A concurrent observe() between the bucket reads and the count
-    // read can make the moments drift by a few observations; clamp so
-    // downstream percentile math sees a consistent total.
-    std::uint64_t bucket_total = 0;
-    for (std::uint64_t c : d.counts)
-        bucket_total += c;
-    d.total_count = std::min(d.total_count, bucket_total);
-    return d;
+    s.put_u64_vec(counts);
+    s.put_u64(total_count);
+    s.put_double(sum);
 }
 
 bool
-Histogram::ckpt_set(const HistogramData &data)
+HistogramData::ckpt_load(Deserializer &d)
 {
-    if (data.upper_bounds != bounds_ ||
-        data.counts.size() != buckets_.size())
+    std::vector<std::uint64_t> loaded = d.get_u64_vec();
+    std::uint64_t total = d.get_u64();
+    double loaded_sum = d.get_double();
+    if (!d.ok() || loaded.size() != upper_bounds.size() + 1)
         return false;
-    for (std::size_t b = 0; b < buckets_.size(); ++b)
-        buckets_[b].store(data.counts[b], std::memory_order_relaxed);
-    count_.store(data.total_count, std::memory_order_relaxed);
-    sum_.store(data.sum, std::memory_order_relaxed);
+    std::uint64_t bucket_total = 0;
+    for (std::uint64_t c : loaded)
+        bucket_total += c;
+    if (bucket_total != total)
+        return false;
+    counts = std::move(loaded);
+    total_count = total;
+    sum = loaded_sum;
     return true;
 }
 
@@ -118,17 +109,6 @@ exponential_bounds(double start, double factor, std::size_t count)
         bounds.push_back(v);
         v *= factor;
     }
-    return bounds;
-}
-
-std::vector<double>
-linear_bounds(double start, double step, std::size_t count)
-{
-    SDFM_ASSERT(step > 0.0 && count > 0);
-    std::vector<double> bounds;
-    bounds.reserve(count);
-    for (std::size_t i = 0; i < count; ++i)
-        bounds.push_back(start + step * static_cast<double>(i));
     return bounds;
 }
 

@@ -1,116 +1,52 @@
 /**
  * @file
- * Fleet-telemetry metric primitives: counters, gauges, and
- * fixed-bucket histograms with relaxed-atomic hot paths.
+ * Fleet-telemetry histogram: the fixed-bucket distribution type the
+ * subsystems keep in their stats structs and the snapshot/export
+ * layer (snapshot.h, exporter.h) carries up the topology.
  *
  * The paper's control plane is only operable at warehouse scale
  * because every machine exports cheap counters and histograms
  * (promotion rates, zswap coverage, CPU overhead -- Section 5 reads
- * them for every figure). These primitives are the reproduction's
- * equivalent: daemons and agents increment them inline on the hot
- * path (a single relaxed fetch_add), and the snapshot/export layer
- * (snapshot.h, exporter.h) reads them asynchronously without ever
- * stopping the writers.
- *
- * Thread-safety: all mutators and readers are safe to call
- * concurrently from any number of threads. Increments use relaxed
- * ordering -- telemetry needs totals, not happens-before edges -- so
- * an increment costs one uncontended atomic RMW.
+ * them for every figure). In this reproduction each such quantity
+ * lives once, in the checkpointed stats struct of the subsystem that
+ * owns the event; telemetry reads those structs at snapshot time, so
+ * recording an observation is a plain bucket increment by the
+ * struct's single writer.
  */
 
 #ifndef SDFM_TELEMETRY_METRIC_H
 #define SDFM_TELEMETRY_METRIC_H
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
+
+#include "ckpt/checkpoint.h"
 
 namespace sdfm {
 
 /**
- * A monotonically increasing event counter (stores, rejects,
- * promotions, pages scanned, ...).
- */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    Counter(const Counter &) = delete;
-    Counter &operator=(const Counter &) = delete;
-
-    /** Add @p n events. Hot-path safe: one relaxed fetch_add. */
-    void inc(std::uint64_t n = 1)
-    {
-        value_.fetch_add(n, std::memory_order_relaxed);
-    }
-
-    /** Current total. */
-    std::uint64_t value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-    /**
-     * Checkpoint restore: overwrite the total. Restore-path only --
-     * a running counter is strictly monotonic and must use inc().
-     */
-    void ckpt_set(std::uint64_t v)
-    {
-        value_.store(v, std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<std::uint64_t> value_{0};
-};
-
-/**
- * A point-in-time level (arena bytes, stored pages, jobs running).
- * Unlike a Counter it can move in both directions; fleet rollups sum
- * gauges across machines, so gauges should hold additive quantities.
- */
-class Gauge
-{
-  public:
-    Gauge() = default;
-
-    Gauge(const Gauge &) = delete;
-    Gauge &operator=(const Gauge &) = delete;
-
-    /** Overwrite the level (relaxed store). */
-    void set(double v) { value_.store(v, std::memory_order_relaxed); }
-
-    /** Adjust the level by @p delta (relaxed CAS loop). */
-    void add(double delta)
-    {
-        double cur = value_.load(std::memory_order_relaxed);
-        while (!value_.compare_exchange_weak(cur, cur + delta,
-                                             std::memory_order_relaxed))
-            ;
-    }
-
-    /** Current level. */
-    double value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<double> value_{0.0};
-};
-
-/**
- * Frozen histogram state: bucket boundaries, per-bucket counts, and
- * the sum/count moments. This is both the read-side view of a live
- * Histogram and the unit of cross-machine aggregation (bucket-wise
- * sums in MetricsSnapshot::merge).
+ * Histogram state: bucket boundaries, per-bucket counts, and the
+ * sum/count moments. Both the live accumulator inside a stats struct
+ * and the unit of cross-machine aggregation (bucket-wise sums in
+ * MetricsSnapshot::merge).
  */
 struct HistogramData
 {
+    HistogramData() = default;
+
+    /**
+     * An empty histogram over @p bounds: ascending inclusive upper
+     * bounds, non-empty. The overflow bucket is added automatically.
+     */
+    explicit HistogramData(std::vector<double> bounds);
+
     /**
      * Ascending inclusive upper bounds; a value v lands in the first
      * bucket with v <= bound. One implicit overflow bucket follows
      * the last bound, so counts.size() == upper_bounds.size() + 1.
+     * sdfm-state: config(fixed by the owning stats struct's
+     * constructor; ckpt_load checks the wire's bucket count against
+     * it)
      */
     std::vector<double> upper_bounds;
 
@@ -122,6 +58,9 @@ struct HistogramData
 
     /** Sum of observed values (for the mean). */
     double sum = 0.0;
+
+    /** Record one observation. */
+    void observe(double value);
 
     /** Arithmetic mean of observations; 0 when empty. */
     double mean() const
@@ -141,62 +80,18 @@ struct HistogramData
 
     /** Bucket-wise accumulate; bounds must match exactly. */
     void merge(const HistogramData &other);
-};
-
-/**
- * A fixed-bucket histogram of a distribution (scan latency, chosen
- * thresholds, payload sizes). Buckets are chosen at construction so
- * the hot path is a short branchless-ish search plus one relaxed
- * fetch_add -- no allocation, no locks.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param upper_bounds Ascending inclusive bucket upper bounds;
-     *        must be non-empty. An overflow bucket is added
-     *        automatically for values above the last bound.
-     */
-    explicit Histogram(const std::vector<double> &upper_bounds);
-
-    Histogram(const Histogram &) = delete;
-    Histogram &operator=(const Histogram &) = delete;
-
-    /** Record one observation (relaxed atomics only). */
-    void observe(double value);
-
-    /** Total observations so far. */
-    std::uint64_t total_count() const
-    {
-        return count_.load(std::memory_order_relaxed);
-    }
-
-    /** Percentile estimate over the current contents (see
-     *  HistogramData::percentile for semantics). */
-    double percentile(double p) const { return data().percentile(p); }
-
-    /** Mean of the current contents. */
-    double mean() const { return data().mean(); }
-
-    /** The configured upper bounds (without the overflow bucket). */
-    const std::vector<double> &upper_bounds() const { return bounds_; }
-
-    /** Copy out a consistent-enough read of the current state. */
-    HistogramData data() const;
 
     /**
-     * Checkpoint restore: overwrite the contents from a saved
-     * HistogramData. Returns false (histogram unchanged) unless
-     * @p data's bounds match this histogram's and the bucket count is
-     * consistent. Restore-path only.
+     * Checkpoint the contents: bucket counts, count, and sum. The
+     * bounds are not stored -- they are fixed by the owning stats
+     * struct's constructor -- so ckpt_load() restores into a
+     * histogram built with the same bounds and rejects a bucket count
+     * that disagrees with them or with the total.
      */
-    bool ckpt_set(const HistogramData &data);
+    void ckpt_save(Serializer &s) const;
+    bool ckpt_load(Deserializer &d);
 
-  private:
-    std::vector<double> bounds_;
-    std::vector<std::atomic<std::uint64_t>> buckets_;
-    std::atomic<std::uint64_t> count_{0};
-    std::atomic<double> sum_{0.0};
+    bool operator==(const HistogramData &) const = default;
 };
 
 /**
@@ -206,14 +101,6 @@ class Histogram
  */
 std::vector<double> exponential_bounds(double start, double factor,
                                        std::size_t count);
-
-/**
- * Convenience bucket generator: @p count bounds starting at
- * @p start spaced by @p step (linear grids for small enumerations
- * like age buckets).
- */
-std::vector<double> linear_bounds(double start, double step,
-                                  std::size_t count);
 
 }  // namespace sdfm
 

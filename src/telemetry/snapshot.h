@@ -1,10 +1,12 @@
 /**
  * @file
- * MetricsSnapshot: a frozen, mergeable copy of a registry's state.
+ * MetricsSnapshot: the export format of the telemetry plane.
  *
+ * Machine, MemoryBroker and ConfigRollout each write one from their
+ * checkpointed stats structs at snapshot time (telemetry_snapshot()).
  * Snapshots are plain data -- maps from metric name to value -- so
  * they can be merged up the topology (machine -> cluster -> fleet)
- * and handed to the exporter without holding any live-metric state.
+ * and handed to the exporter without holding any live state.
  * Merging sums counters and gauges and accumulates histograms
  * bucket-wise, which is the correct rollup for the additive
  * quantities the control plane exports (event counts, byte levels,
@@ -22,7 +24,8 @@
 
 namespace sdfm {
 
-/** One frozen view of a registry (or a merged rollup of many). */
+/** One subsystem's metrics at a point in time (or a merged rollup of
+ *  many). */
 struct MetricsSnapshot
 {
     /** Counter totals by name. */

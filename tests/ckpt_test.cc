@@ -29,7 +29,6 @@
 #include "mem/memcg.h"
 #include "node/machine.h"
 #include "node/threshold_controller.h"
-#include "telemetry/registry.h"
 #include "util/rng.h"
 #include "workload/job.h"
 #include "workload/job_profile.h"
@@ -37,6 +36,25 @@
 
 namespace sdfm {
 namespace {
+
+/** Whole-snapshot equality: counters, gauges bit for bit, and every
+ *  histogram's bounds, buckets, count and sum. */
+void
+expect_same_telemetry(const MetricsSnapshot &a, const MetricsSnapshot &b)
+{
+    EXPECT_EQ(a.counters, b.counters);
+    EXPECT_EQ(a.gauges, b.gauges);
+    ASSERT_EQ(a.histograms.size(), b.histograms.size());
+    for (const auto &[name, ha] : a.histograms) {
+        auto it = b.histograms.find(name);
+        ASSERT_NE(it, b.histograms.end()) << name;
+        const HistogramData &hb = it->second;
+        EXPECT_EQ(ha.upper_bounds, hb.upper_bounds) << name;
+        EXPECT_EQ(ha.counts, hb.counts) << name;
+        EXPECT_EQ(ha.total_count, hb.total_count) << name;
+        EXPECT_EQ(ha.sum, hb.sum) << name;
+    }
+}
 
 // ---------------------------------------------------------------------
 // RNG streams (satellite: every stream fully snapshottable)
@@ -299,40 +317,6 @@ TEST(SubsystemCkpt, TraceLogRoundTripBitExact)
         EXPECT_EQ(a.entries()[i], b.entries()[i]);
 }
 
-TEST(SubsystemCkpt, MetricRegistryRoundTrip)
-{
-    MetricRegistry a;
-    a.counter("x.count").inc(41);
-    a.gauge("x.level").set(2.5);
-    a.histogram("x.hist", {1.0, 2.0, 4.0}).observe(1.5);
-    a.histogram("x.hist", {1.0, 2.0, 4.0}).observe(9.0);
-
-    Serializer s;
-    a.ckpt_save(s);
-    // The restored registry starts with only a subset registered:
-    // load must set the existing slot and lazily create the rest.
-    MetricRegistry b;
-    b.counter("x.count").inc(5);  // stale value: must be overwritten
-    Deserializer d(s.bytes());
-    ASSERT_TRUE(b.ckpt_load(d));
-    ASSERT_TRUE(d.at_end());
-
-    MetricsSnapshot sa = a.snapshot();
-    MetricsSnapshot sb = b.snapshot();
-    EXPECT_EQ(sa.counters, sb.counters);
-    EXPECT_EQ(sa.gauges, sb.gauges);
-    ASSERT_EQ(sb.histograms.count("x.hist"), 1u);
-    EXPECT_EQ(sa.histograms.at("x.hist").counts,
-              sb.histograms.at("x.hist").counts);
-
-    // Histogram bounds disagreement is a typed rejection, not an
-    // assert: registry with conflicting bounds already registered.
-    MetricRegistry c;
-    c.histogram("x.hist", {10.0, 20.0});
-    Deserializer d2(s.bytes());
-    EXPECT_FALSE(c.ckpt_load(d2));
-}
-
 TEST(SubsystemCkpt, GpBanditRoundTripSuggestsIdentically)
 {
     BanditConfig config;
@@ -478,7 +462,10 @@ TEST(SubsystemCkpt, MachineRoundTripTrajectoryEqual)
     FleetMix mix = typical_fleet_mix();
     MachineConfig config;
     config.dram_pages = 16 * 1024;
-    config.nvm.capacity_pages = 1 << 18;  // exercise the NVM tier
+    // A small NVM tier: it fills, and zswap takes the overflow, so
+    // both tiers and every telemetry histogram carry data across the
+    // checkpoint.
+    config.nvm.capacity_pages = 1024;
     config.tier_breaker_enabled = true;
     config.slo_breaker_enabled = true;
     Machine a(0, config, 11);
@@ -499,6 +486,9 @@ TEST(SubsystemCkpt, MachineRoundTripTrajectoryEqual)
     ASSERT_TRUE(d.ok());
     ASSERT_TRUE(d.at_end());
     EXPECT_EQ(a.state_digest(), b.state_digest());
+    for (const auto &[name, h] : a.telemetry_snapshot().histograms)
+        ASSERT_GT(h.total_count, 0u) << name << " is empty at the checkpoint";
+    expect_same_telemetry(a.telemetry_snapshot(), b.telemetry_snapshot());
 
     // The restored machine must continue the original's trajectory
     // bit-identically, including the metrics plane.
@@ -507,9 +497,9 @@ TEST(SubsystemCkpt, MachineRoundTripTrajectoryEqual)
         b.step(now);
         ASSERT_EQ(a.state_digest(), b.state_digest())
             << "diverged " << i << " steps after restore";
+        expect_same_telemetry(a.telemetry_snapshot(),
+                              b.telemetry_snapshot());
     }
-    EXPECT_EQ(a.metrics().snapshot().counters,
-              b.metrics().snapshot().counters);
 }
 
 TEST(SubsystemCkpt, ClusterRoundTripTrajectoryEqual)
@@ -594,12 +584,16 @@ TEST(FleetCkpt, RestoreAtKReproducesUninterruptedTrajectory)
     EXPECT_EQ(resumed.now(), reference.now());
     EXPECT_EQ(resumed.state_digest(), reference.state_digest());
     EXPECT_EQ(resumed.num_jobs(), reference.num_jobs());
+    expect_same_telemetry(resumed.fleet_telemetry(),
+                          reference.fleet_telemetry());
 
     for (int i = 0; i < 12; ++i) {
         reference.step();
         resumed.step();
         ASSERT_EQ(resumed.state_digest(), reference.state_digest())
             << "diverged " << i << " steps after restore";
+        expect_same_telemetry(resumed.fleet_telemetry(),
+                              reference.fleet_telemetry());
     }
     // The merged telemetry databases must agree entry for entry.
     EXPECT_EQ(resumed.merged_trace().entries(),

@@ -379,7 +379,7 @@ TEST(FaultMachine, CorruptionScheduleSurvivesStepLoop)
     // aborted the step loop to get here.
     EXPECT_GT(machine.zswap().stats().poisoned_entries, 0u);
     EXPECT_EQ(
-        machine.metrics().snapshot().counter_or_zero(
+        machine.telemetry_snapshot().counter_or_zero(
             "zswap.poisoned_entries"),
         machine.zswap().stats().poisoned_entries);
 }
@@ -418,7 +418,7 @@ TEST(FaultMachine, RemoteDegradeDrivesRetriesAndTierBreaker)
     EXPECT_EQ(machine.tier_breaker().state(), BreakerState::kClosed);
     EXPECT_DOUBLE_EQ(remote->transient_read_failure(), 0.0);
     // Recovery is visible in the metrics plane.
-    MetricsSnapshot snap = machine.metrics().snapshot();
+    MetricsSnapshot snap = machine.telemetry_snapshot();
     EXPECT_GT(snap.counter_or_zero("fault.remote_read_retries"), 0u);
     EXPECT_GT(snap.counter_or_zero("fault.tier_breaker_opens"), 0u);
 }
@@ -440,7 +440,7 @@ TEST(FaultMachine, NvmCapacityLossSpillsToZswap)
     for (SimTime now = 0; now < kHour; now += kMinute)
         machine.step(now);
 
-    MetricsSnapshot snap = machine.metrics().snapshot();
+    MetricsSnapshot snap = machine.telemetry_snapshot();
     EXPECT_GT(snap.counter_or_zero("fault.nvm_capacity_lost_pages"), 0u);
     EXPECT_GT(snap.counter_or_zero("fault.nvm_spillover_pages"), 0u);
     std::size_t ni = machine.tiers().find(TierKind::kNvm);
@@ -496,7 +496,7 @@ TEST(FaultMachine, ScheduledAgentCrashCountsInTelemetry)
         machine.step(now);
     EXPECT_EQ(machine.fault_injector().stats().agent_crashes, 1u);
     EXPECT_EQ(machine.agent().stats().restarts, 1u);
-    EXPECT_EQ(machine.metrics().snapshot().counter_or_zero(
+    EXPECT_EQ(machine.telemetry_snapshot().counter_or_zero(
                   "agent.restarts"),
               1u);
 }

@@ -63,6 +63,14 @@ TEST(DeterminismTest, SerialAndParallelSteppingAgree)
         parallel.step();
         ASSERT_EQ(serial.state_digest(), parallel.state_digest())
             << "digests diverged at minute " << minute;
+        // Telemetry sits outside the digest; each machine's stats have
+        // one writer (its own step), so the rollups agree exactly.
+        MetricsSnapshot s = serial.fleet_telemetry();
+        MetricsSnapshot p = parallel.fleet_telemetry();
+        ASSERT_EQ(s.counters, p.counters) << "at minute " << minute;
+        ASSERT_EQ(s.gauges, p.gauges) << "at minute " << minute;
+        ASSERT_TRUE(s.histograms == p.histograms)
+            << "histograms diverged at minute " << minute;
     }
 }
 

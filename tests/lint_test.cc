@@ -245,20 +245,52 @@ TEST(LintMetricNameTest, EnforcesSubsystemSnakeCase)
 {
     auto findings = lint_one(
         "src/x.cc",
-        "registry.counter(\"zswap.stores\").inc();\n"
-        "registry.counter(\"BadName\").inc();\n"
-        "registry->gauge(\"machine.Resident\").set(1.0);\n"
-        "registry.histogram(\"kstaled.scan_cycles\", bounds);\n");
-    EXPECT_EQ(count_rule(findings, "metric-name"), 2u);
+        "snap.counters[\"zswap.stores\"] = zs.stores;\n"
+        "snap.counters[\"BadName\"] = 1;\n"
+        "gauges [ \"machine.Resident\" ] = 1.0;\n"
+        "snap.histograms[\"kstaled.scan_cycles\"] = ks.scan_cycles;\n"
+        "counters[\"x.\"] = 0;\n"
+        "counters[\"tier.nvm.2nd\"] = 0;\n"
+        "snap.gauges[\"cluster.jobs\"] += 1.0;\n");
+    EXPECT_EQ(count_rule(findings, "metric-name"), 4u);
 }
 
 TEST(LintMetricNameTest, IgnoresNonMemberCallsAndVariables)
 {
     auto findings = lint_one(
         "src/x.cc",
-        "counter(\"not a metric factory\");\n"   // free function
-        "registry.counter(name).inc();\n");      // not a literal
+        "counters(\"not a metric map\");\n"         // a call
+        "my_counters[\"Not.Checked\"] = 1;\n"       // another map
+        "counters[prefix + \"demotions\"] = n;\n"   // computed
+        "snap.counter_or_zero(\"ReadsAreFine\");\n");  // a read
     EXPECT_TRUE(findings.empty());
+}
+
+// The tree's own collector form, one fixture each way.
+TEST(LintMetricNameTest, ChecksCollectorEmitLines)
+{
+    auto bad = lint_one(
+        "src/cluster/x.cc",
+        "MetricsSnapshot\n"
+        "MemoryBroker::telemetry_snapshot() const\n"
+        "{\n"
+        "    MetricsSnapshot snap;\n"
+        "    snap.counters[\"pool.leasesGranted\"] = stats_.granted;\n"
+        "    return snap;\n"
+        "}\n");
+    ASSERT_EQ(count_rule(bad, "metric-name"), 1u);
+    EXPECT_EQ(bad[0].line, 5);
+
+    auto good = lint_one(
+        "src/cluster/x.cc",
+        "MetricsSnapshot\n"
+        "MemoryBroker::telemetry_snapshot() const\n"
+        "{\n"
+        "    MetricsSnapshot snap;\n"
+        "    snap.counters[\"pool.leases_granted\"] = stats_.granted;\n"
+        "    return snap;\n"
+        "}\n");
+    EXPECT_TRUE(good.empty());
 }
 
 // ------------------------------------------------------------ dynamic-cast

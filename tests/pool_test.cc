@@ -478,6 +478,13 @@ TEST(PoolFleetTest, SerialAndParallelSteppingAgreeWithPooling)
         parallel.step();
         ASSERT_EQ(serial.state_digest(), parallel.state_digest())
             << "diverged at step " << i;
+        // The rollups (pool.* included) agree exactly too.
+        MetricsSnapshot s = serial.fleet_telemetry();
+        MetricsSnapshot p = parallel.fleet_telemetry();
+        ASSERT_EQ(s.counters, p.counters) << "at step " << i;
+        ASSERT_EQ(s.gauges, p.gauges) << "at step " << i;
+        ASSERT_TRUE(s.histograms == p.histograms)
+            << "histograms diverged at step " << i;
     }
 }
 

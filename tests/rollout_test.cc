@@ -31,8 +31,8 @@ namespace sdfm {
 namespace {
 
 // ---------------------------------------------------------------------
-// Unit-level harness: bare machines (never stepped) whose guardrail
-// counters the tests drive directly through the metric registry.
+// Unit-level harness: bare, idle machines whose guardrail counters the
+// tests drive through the production paths that own them.
 // ---------------------------------------------------------------------
 
 struct RolloutHarness
@@ -42,11 +42,15 @@ struct RolloutHarness
     std::vector<std::unique_ptr<Machine>> cluster0;
     std::vector<std::unique_ptr<Machine>> cluster1;
     ConfigRollout::MachineView view;
+    JobId next_job = 1;
 
     RolloutHarness()
     {
         MachineConfig config;
         config.dram_pages = 4 * 1024;
+        // One breaching control period opens a job's SLO breaker.
+        config.slo_breaker_enabled = true;
+        config.slo_breaker.failure_threshold = 1;
         for (std::uint32_t m = 0; m < kMachinesPerCluster; ++m) {
             cluster0.push_back(
                 std::make_unique<Machine>(m, config, 100 + m));
@@ -54,6 +58,46 @@ struct RolloutHarness
                 std::make_unique<Machine>(m, config, 200 + m));
         }
         view = {&cluster0, &cluster1};
+    }
+
+    /**
+     * One real OOM eviction on @p machine: a memory bomb (best
+     * effort, always larger than the 16 MiB of DRAM) lands on it and
+     * one step's pressure path evicts exactly that job.
+     */
+    void
+    force_oom(Machine &machine, SimTime now)
+    {
+        JobId id = next_job++;
+        machine.add_job(std::make_unique<Job>(id, memory_bomb_profile(),
+                                              id, now));
+        ASSERT_GT(machine.resident_pages(), machine.config().dram_pages);
+        EXPECT_EQ(machine.step(now).evicted.size(), 1u);
+        EXPECT_TRUE(machine.jobs().empty());
+    }
+
+    /**
+     * One real SLO-breaker trip on @p machine: a job whose first 64
+     * pages go to zswap and straight back within one control period,
+     * so the agent's next control round sees a realized promotion
+     * rate far over the SLO and the one-strike breaker opens.
+     */
+    void
+    trip_slo_breaker(Machine &machine, SimTime now)
+    {
+        JobId id = next_job++;
+        Job &job = machine.add_job(std::make_unique<Job>(
+            id, profile_by_name("web_frontend"), id, now));
+        Memcg &cg = job.memcg();
+        for (PageId p = 0; p < 64; ++p) {
+            if (machine.zswap().store(cg, p))
+                machine.zswap().load(cg, p);
+        }
+        ASSERT_GT(cg.stats().zswap_promotions, 0u);
+        std::uint64_t trips = machine.agent().stats().slo_breaker_trips;
+        std::vector<Memcg *> cgs = {&cg};
+        machine.agent().control(now + kMinute, cgs, 1.0);
+        EXPECT_EQ(machine.agent().stats().slo_breaker_trips, trips + 1);
     }
 
     /** Machines currently on @p epoch, as (cluster, machine) pairs. */
@@ -156,8 +200,12 @@ TEST(ConfigRolloutTest, HappyPathWalksEveryStageToDeployed)
 TEST(ConfigRolloutTest, GuardrailBreachRollsBackOnlyTheCohort)
 {
     RolloutHarness h;
-    ConfigRollout rollout(small_rollout_params(), SloConfig{}, 1,
-                          {4, 4});
+    RolloutParams params = small_rollout_params();
+    // The trip's breaching period also lands in the promotion-rate
+    // tail; lift that guardrail so the breaker-trip counter alone
+    // must catch it.
+    params.guardrails.promo_headroom = 1e9;
+    ConfigRollout rollout(params, SloConfig{}, 1, {4, 4});
     ASSERT_TRUE(rollout.propose(0, candidate_config(), h.view));
 
     // Baseline, then canary delivery, then the window opens.
@@ -170,7 +218,7 @@ TEST(ConfigRolloutTest, GuardrailBreachRollsBackOnlyTheCohort)
     // window: with zero grace and a zero baseline rate, one event is
     // a breach.
     auto [c, m] = canaries.front();
-    (*h.view[c])[m]->metrics().counter("agent.slo_breaker_trips").inc();
+    h.trip_slo_breaker(*(*h.view[c])[m], now);
     now = run_steps(rollout, h.view, now, 1);
     EXPECT_EQ(rollout.state(), RolloutState::kRollingBack);
     EXPECT_EQ(rollout.stats().guardrail_breaches, 1u);
@@ -414,7 +462,7 @@ TEST(ConfigRolloutTest, StalledBaselineDoesNotInflateGuardrailRates)
     ASSERT_EQ(rollout.stats().stall_periods, 2u);
     for (auto *cluster : h.view)
         for (const auto &m : *cluster)
-            m->metrics().counter("machine.evictions").inc();
+            h.force_oom(*m, now);
     now = run_steps(rollout, h.view, now, 1);
     ASSERT_EQ(rollout.state(), RolloutState::kCanary);
 
@@ -428,7 +476,7 @@ TEST(ConfigRolloutTest, StalledBaselineDoesNotInflateGuardrailRates)
     // 0.5, a breach; a stall-inflated baseline (deltas divided by the
     // two counted periods only) would have let it slip through.
     auto [c, m] = canaries.front();
-    (*h.view[c])[m]->metrics().counter("machine.evictions").inc();
+    h.force_oom(*(*h.view[c])[m], now);
     run_steps(rollout, h.view, now, 1);
     EXPECT_EQ(rollout.state(), RolloutState::kRollingBack);
     EXPECT_EQ(rollout.stats().guardrail_breaches, 1u);

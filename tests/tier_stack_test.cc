@@ -226,7 +226,7 @@ TEST(ThreeTierMachine, EndToEndFillsBothDeepTiers)
               machine.zswap_stored_pages() + machine.tier_stored_pages());
 
     // Explicit stacks export per-tier telemetry under tier.<label>.*.
-    MetricsSnapshot snap = machine.metrics().snapshot();
+    MetricsSnapshot snap = machine.telemetry_snapshot();
     EXPECT_GT(snap.counters.at("tier.nvm.demotions"), 0u);
     EXPECT_GT(snap.counters.at("tier.remote.demotions"), 0u);
     EXPECT_GT(snap.gauges.at("tier.remote.stored_pages"), 0.0);
@@ -271,8 +271,11 @@ TEST(ThreeTierMachine, CheckpointRoundTripTrajectoryEqual)
         ASSERT_EQ(a.state_digest(), b.state_digest())
             << "diverged " << i << " steps after restore";
     }
-    EXPECT_EQ(a.metrics().snapshot().counters,
-              b.metrics().snapshot().counters);
+    MetricsSnapshot sa = a.telemetry_snapshot();
+    MetricsSnapshot sb = b.telemetry_snapshot();
+    EXPECT_EQ(sa.counters, sb.counters);
+    EXPECT_EQ(sa.gauges, sb.gauges);
+    EXPECT_TRUE(sa.histograms == sb.histograms);
 }
 
 TEST(ThreeTierMachine, DonorFailureAtDepthThreeKillsOwningJob)

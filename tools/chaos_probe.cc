@@ -53,9 +53,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 
 #include "autotune/autotuner.h"
 #include "core/far_memory_system.h"
+#include "probe_args.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -224,10 +226,10 @@ run_rollout_bad(FleetConfig config, SimTime minutes, std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
-    SimTime minutes = 60;
-    std::uint32_t num_clusters = 2;
+    std::uint64_t minutes_arg = 60;
+    std::uint64_t clusters_arg = 2;
     std::uint64_t seed = 1;
-    int tiers = 2;
+    std::uint64_t tiers = 2;
     bool pooling = false;
     bool rollout_good = false;
     bool rollout_bad = false;
@@ -236,17 +238,24 @@ main(int argc, char **argv)
     double degrade_prob = 0.05; // remote degradation windows per step
     double crash_prob = 0.01;   // agent crashes per step
     for (int i = 1; i < argc; ++i) {
+        bool ok = true;
         if (std::strcmp(argv[i], "--minutes") == 0 && i + 1 < argc) {
-            minutes = std::atoll(argv[++i]);
+            ok = parse_count(argv[++i], 1,
+                             static_cast<std::uint64_t>(
+                                 std::numeric_limits<SimTime>::max() /
+                                 kMinute),
+                             &minutes_arg);
         } else if (std::strcmp(argv[i], "--clusters") == 0 &&
                    i + 1 < argc) {
-            num_clusters =
-                static_cast<std::uint32_t>(std::atoi(argv[++i]));
+            ok = parse_count(argv[++i], 1,
+                             std::numeric_limits<std::uint32_t>::max(),
+                             &clusters_arg);
         } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-            seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            ok = parse_count(argv[++i], 0,
+                             std::numeric_limits<std::uint64_t>::max(),
+                             &seed);
         } else if (std::strcmp(argv[i], "--tiers") == 0 && i + 1 < argc) {
-            tiers = std::atoi(argv[++i]);
-            if (tiers < 1 || tiers > 3) {
+            if (!parse_count(argv[++i], 1, 3, &tiers)) {
                 std::fprintf(stderr, "--tiers must be 1, 2, or 3\n");
                 return 1;
             }
@@ -269,16 +278,21 @@ main(int argc, char **argv)
                    i + 1 < argc) {
             crash_prob = std::atof(argv[++i]);
         } else {
+            ok = false;
+        }
+        if (!ok) {
             std::fprintf(stderr,
                          "usage: %s [--minutes N] [--clusters N] "
                          "[--seed S] [--tiers 1|2|3] [--pooling] "
                          "[--rollout] [--rollout-bad] "
                          "[--donor-fph F] [--corrupt P] [--degrade P] "
-                         "[--agent-crash P]\n",
+                         "[--agent-crash P]   (N >= 1)\n",
                          argv[0]);
             return 1;
         }
     }
+    const auto minutes = static_cast<SimTime>(minutes_arg);
+    const auto num_clusters = static_cast<std::uint32_t>(clusters_arg);
 
     if (pooling && tiers == 1) {
         std::fprintf(stderr,

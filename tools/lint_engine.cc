@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <regex>
 #include <set>
 #include <sstream>
 
@@ -685,37 +684,59 @@ check_dynamic_cast(const FileContext &ctx, Reporter &reporter)
 // Rule: metric-name
 // ---------------------------------------------------------------------
 
+/**
+ * `subsystem.snake_case`: two or more dot-separated components, each a
+ * lowercase letter followed by lowercase letters, digits or
+ * underscores.
+ */
+bool
+is_metric_name(const std::string &name)
+{
+    auto lower = [](char c) { return c >= 'a' && c <= 'z'; };
+    auto digit = [](char c) { return c >= '0' && c <= '9'; };
+    std::size_t components = 0;
+    std::size_t i = 0;
+    for (;;) {
+        if (i >= name.size() || !lower(name[i]))
+            return false;
+        while (i < name.size() &&
+               (lower(name[i]) || digit(name[i]) || name[i] == '_')) {
+            ++i;
+        }
+        ++components;
+        if (i == name.size())
+            return components >= 2;
+        if (name[i] != '.')
+            return false;
+        ++i;
+    }
+}
+
 void
 check_metric_name(const FileContext &ctx, Reporter &reporter)
 {
-    static const std::regex kValid(
-        "[a-z][a-z0-9_]*(\\.[a-z][a-z0-9_]*)+");
-    static const std::set<std::string> kFactories = {"counter", "gauge",
-                                                     "histogram"};
+    // The collectors' emit form: a literal name subscripting one of
+    // MetricsSnapshot's maps, as in snap.counters["zswap.stores"].
+    static const std::set<std::string> kMaps = {"counters", "gauges",
+                                                "histograms"};
     for (std::size_t i = 0; i < ctx.string_lines.size(); ++i) {
         const std::string &line = ctx.string_lines[i];
         for (const Token &t : tokenize(line)) {
-            if (kFactories.count(t.text) == 0)
-                continue;
-            // Must be a member call: registry.counter(... / ->counter(.
-            if (t.begin == 0)
-                continue;
-            char before = line[t.begin - 1];
-            if (before != '.' && before != '>')
+            if (kMaps.count(t.text) == 0)
                 continue;
             std::size_t pos = t.end;
-            if (next_nonspace(line, pos) != '(')
+            if (next_nonspace(line, pos) != '[')
                 continue;
-            pos = line.find('(', pos) + 1;
+            pos = line.find('[', pos) + 1;
             if (next_nonspace(line, pos) != '"')
-                continue;  // name is a variable; not checkable here
+                continue;  // computed name; not checkable here
             std::size_t open = line.find('"', pos);
             std::size_t close = line.find('"', open + 1);
             if (close == std::string::npos)
                 continue;  // literal continues past this line
             std::string name =
                 line.substr(open + 1, close - open - 1);
-            if (!std::regex_match(name, kValid)) {
+            if (!is_metric_name(name)) {
                 reporter.report(
                     ctx, "metric-name", static_cast<int>(i + 1),
                     "metric name \"" + name +

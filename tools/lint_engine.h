@@ -25,8 +25,9 @@
  *   header-hygiene    Headers open with an include guard (or
  *                     #pragma once) and never contain
  *                     `using namespace` at file scope.
- *   metric-name       Telemetry metric names passed to
- *                     counter()/gauge()/histogram() follow the
+ *   metric-name       Telemetry metric names the collectors emit
+ *                     (a literal subscripting a MetricsSnapshot's
+ *                     counters/gauges/histograms map) follow the
  *                     `subsystem.snake_case` convention.
  *   dynamic-cast      No dynamic_cast: concrete tier types are
  *                     recovered by dispatching on FarTier::kind()

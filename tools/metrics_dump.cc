@@ -7,11 +7,12 @@
 //
 // Usage: metrics_dump [--csv] [--minutes N] [--clusters N]
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 
 #include "core/far_memory_system.h"
+#include "probe_args.h"
 #include "telemetry/exporter.h"
 
 using namespace sdfm;
@@ -20,22 +21,31 @@ int
 main(int argc, char **argv)
 {
     TelemetryExporter::Format format = TelemetryExporter::Format::kJsonl;
-    SimTime minutes = 15;
-    std::uint32_t num_clusters = 2;
+    std::uint64_t minutes = 15;
+    std::uint64_t num_clusters = 2;
     for (int i = 1; i < argc; ++i) {
+        bool ok = true;
         if (std::strcmp(argv[i], "--csv") == 0) {
             format = TelemetryExporter::Format::kCsv;
         } else if (std::strcmp(argv[i], "--minutes") == 0 &&
                    i + 1 < argc) {
-            minutes = std::atoll(argv[++i]);
+            ok = parse_count(argv[++i], 1,
+                             static_cast<std::uint64_t>(
+                                 std::numeric_limits<SimTime>::max() /
+                                 kMinute),
+                             &minutes);
         } else if (std::strcmp(argv[i], "--clusters") == 0 &&
                    i + 1 < argc) {
-            num_clusters =
-                static_cast<std::uint32_t>(std::atoi(argv[++i]));
+            ok = parse_count(argv[++i], 1,
+                             std::numeric_limits<std::uint32_t>::max(),
+                             &num_clusters);
         } else {
+            ok = false;
+        }
+        if (!ok) {
             std::fprintf(stderr,
                          "usage: %s [--csv] [--minutes N] "
-                         "[--clusters N]\n",
+                         "[--clusters N]   (N >= 1)\n",
                          argv[0]);
             return 1;
         }
@@ -44,7 +54,7 @@ main(int argc, char **argv)
     // A small fleet so the probe finishes in seconds: the point is
     // the metric stream's shape, not warehouse scale.
     FleetConfig config;
-    config.num_clusters = num_clusters;
+    config.num_clusters = static_cast<std::uint32_t>(num_clusters);
     config.cluster.mix = typical_fleet_mix();
     config.cluster.num_machines = 4;
     config.cluster.machine.dram_pages = 16 * 1024;
@@ -54,7 +64,7 @@ main(int argc, char **argv)
 
     TelemetryExporter exporter(std::cout, format);
     system.set_metrics_exporter(&exporter);
-    system.run(minutes * kMinute);
+    system.run(static_cast<SimTime>(minutes) * kMinute);
 
     std::fprintf(stderr, "\n-- fleet summary after %lld minutes "
                          "(%llu frames) --\n",
