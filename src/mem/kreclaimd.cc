@@ -151,11 +151,13 @@ Kreclaimd::reclaim_cold(Memcg &cg, DemotionPlan &plan) const
     // disqualifying flags, so candidates are the zero bits of their
     // union. Store side effects only touch the current page's bits,
     // so a word's candidate mask stays valid while its later bits are
-    // processed.
+    // processed. A candidate is old enough when its last-access epoch
+    // lies at least T scans behind the table's epoch.
     const std::uint32_t n = cg.num_pages();
     const bool has_huge = cg.has_huge_regions();
     PageTable &pt = cg.pages();
-    const std::uint8_t *age = pt.age_data();
+    const std::uint16_t *last = pt.epoch_data();
+    const std::uint16_t epoch = pt.epoch();
     const std::uint64_t *zswap_w = pt.in_zswap_words();
     const std::uint64_t *far_w = pt.in_far_words();
     const std::uint64_t *unev_w = pt.unevictable_words();
@@ -185,9 +187,10 @@ Kreclaimd::reclaim_cold(Memcg &cg, DemotionPlan &plan) const
                 cand &= cand - 1;
                 PageId p = static_cast<PageId>(w * 64) +
                            static_cast<PageId>(b);
-                if (age[p] < threshold)
+                auto idle = static_cast<std::uint16_t>(epoch - last[p]);
+                if (idle < threshold)
                     continue;
-                attempt_routes(p, age[p]);
+                attempt_routes(p, PageTable::age_at(idle));
             }
         }
     }

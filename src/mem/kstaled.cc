@@ -2,7 +2,6 @@
 
 #include <array>
 #include <bit>
-#include <cstring>
 
 #include "util/invariant.h"
 
@@ -57,179 +56,74 @@ void
 Kstaled::scan_soa(Memcg &cg, ScanResult &result) const
 {
     PageTable &pt = cg.pages();
-    const std::uint32_t n = pt.size();
-    const bool has_huge = cg.has_huge_regions();
-    std::uint8_t *age = pt.age_data();
     std::uint64_t *acc = pt.accessed_words();
     std::uint64_t *dirty = pt.dirty_words();
     std::uint64_t *incompr = pt.incompressible_words();
 
-    // Bucket counts are accumulated locally (one inlined increment
-    // per page) and folded into the histograms once per scan, rather
-    // than calling AgeHistogram::add per page.
-    std::array<std::uint64_t, kAgeBuckets> cold_counts{};
+    // Every page ages by one; only the accessed ones are written.
+    // Promotion counts are accumulated locally and folded into the
+    // histogram once per scan.
+    pt.advance_epoch();
     std::array<std::uint64_t, kAgeBuckets> promo_counts{};
+    result.pages_scanned += pt.size();
 
-    // Age an idle (no accessed bit) run of pages. The demoted
-    // majority of a mostly-cold fleet sits saturated at 255, where
-    // aging writes nothing -- detect such pages eight at a time with
-    // one wide load and count them in bulk. @p from is 8-aligned at
-    // every call site (regions and words are multiples of 8 pages);
-    // only the table's tail can produce a short run.
-    auto age_idle_run = [&](PageId from, PageId to, std::uint8_t &mn,
-                            std::uint8_t &mx) {
-        PageId p = from;
-        for (; p + 8 <= to; p += 8) {
-            std::uint64_t a8;
-            std::memcpy(&a8, age + p, 8);
-            if (a8 == ~std::uint64_t{0}) {
-                cold_counts[255] += 8;
-                mx = 255;
+    if (cg.has_huge_regions()) {
+        for (std::uint32_t r = 0; r < cg.num_regions(); ++r) {
+            if (!cg.region_is_huge(r))
                 continue;
-            }
-            for (PageId q = p; q < p + 8; ++q) {
-                std::uint8_t a = age[q];
-                if (a < 255)
-                    age[q] = ++a;
-                ++cold_counts[a];
-                if (a < mn)
-                    mn = a;
-                if (a > mx)
-                    mx = a;
-            }
-        }
-        for (; p < to; ++p) {
-            std::uint8_t a = age[p];
-            if (a < 255)
-                age[p] = ++a;
-            ++cold_counts[a];
-            if (a < mn)
-                mn = a;
-            if (a > mx)
-                mx = a;
-        }
-    };
-
-    const std::uint32_t regions = pt.num_summary_regions();
-    for (std::uint32_t r = 0; r < regions; ++r) {
-        const PageId first = r * kPageRegionPages;
-        const PageId end = first + kPageRegionPages < n
-                               ? first + kPageRegionPages
-                               : n;
-        const std::size_t w0 = PageTable::word_of(first);
-        const std::size_t w1 = (static_cast<std::size_t>(end) + 63) / 64;
-        std::uint64_t acc_or = 0;
-        for (std::size_t w = w0; w < w1; ++w)
-            acc_or |= acc[w];
-
-        if (has_huge && cg.region_is_huge(r)) {
             // One PTE covers the whole region: one scanned page, one
             // accessed bit, and every page shares the region's fate.
-            ++result.pages_scanned;
+            // Its accessed words are cleared here, so the word loop
+            // below never sees them.
+            const PageId first = r * kHugeRegionPages;
+            const std::size_t w0 = PageTable::word_of(first);
+            const std::size_t w1 = w0 + kHugeRegionPages / 64;
+            result.pages_scanned -= kHugeRegionPages - 1;
+            std::uint64_t acc_or = 0;
             std::uint64_t dirty_or = 0;
-            for (std::size_t w = w0; w < w1; ++w)
+            for (std::size_t w = w0; w < w1; ++w) {
+                acc_or |= acc[w];
                 dirty_or |= dirty[w];
-            std::uint8_t mn;
-            std::uint8_t mx;
+                acc[w] = 0;
+            }
             if (acc_or != 0) {
                 ++result.accessed_pages;
-                for (PageId p = first; p < end; ++p)
-                    ++promo_counts[age[p]];
-                std::memset(age + first, 0, end - first);
-                cold_counts[0] += end - first;
-                mn = 0;
-                mx = 0;
-            } else {
-                mn = 255;
-                mx = 0;
-                for (PageId p = first; p < end; ++p) {
-                    std::uint8_t a = age[p];
-                    if (a < 255)
-                        age[p] = ++a;
-                    ++cold_counts[a];
-                    if (a < mn)
-                        mn = a;
-                    if (a > mx)
-                        mx = a;
-                }
+                for (PageId p = first; p < first + kHugeRegionPages; ++p)
+                    ++promo_counts[pt.stamp(p)];
             }
-            for (std::size_t w = w0; w < w1; ++w)
-                acc[w] = 0;
             if (dirty_or != 0) {
                 for (std::size_t w = w0; w < w1; ++w) {
                     incompr[w] = 0;
                     dirty[w] = 0;
                 }
             }
-            pt.set_region_summary(r, mn, mx);
-            continue;
         }
-
-        const std::uint32_t count = end - first;
-        result.pages_scanned += count;
-
-        if (acc_or == 0) {
-            // Wholly idle region: every page just ages. When the
-            // region is already saturated at 255 there is nothing to
-            // write at all -- one bulk histogram count covers it.
-            if (pt.region_min_age(r) == 255) {
-                cold_counts[255] += count;
-                continue;
-            }
-            std::uint8_t mn = 255;
-            std::uint8_t mx = 0;
-            age_idle_run(first, end, mn, mx);
-            pt.set_region_summary(r, mn, mx);
-            continue;
-        }
-
-        // Mixed region: word-at-a-time. Idle words take the aging
-        // loop; words with accessed pages additionally clear flags
-        // (dirty-and-accessed drops the incompressible verdict) and
-        // split promotions from aging per bit.
-        std::uint8_t mn = 255;
-        std::uint8_t mx = 0;
-        for (std::size_t w = w0; w < w1; ++w) {
-            const PageId base = static_cast<PageId>(w * 64);
-            const PageId wend = base + 64 < end ? base + 64 : end;
-            const std::uint64_t aw = acc[w];
-            if (aw == 0) {
-                age_idle_run(base, wend, mn, mx);
-                continue;
-            }
-            result.accessed_pages +=
-                static_cast<std::uint64_t>(std::popcount(aw));
-            // A dirty PTE on an accessed page retires any stale
-            // incompressible verdict; both bits drop together.
-            const std::uint64_t cleared = aw & dirty[w];
-            dirty[w] &= ~aw;
-            incompr[w] &= ~cleared;
-            acc[w] = 0;
-            for (PageId p = base; p < wend; ++p) {
-                std::uint8_t a = age[p];
-                if (aw & PageTable::bit_of(p)) {
-                    ++promo_counts[a];
-                    a = 0;
-                } else if (a < 255) {
-                    ++a;
-                }
-                age[p] = a;
-                ++cold_counts[a];
-                if (a < mn)
-                    mn = a;
-                if (a > mx)
-                    mx = a;
-            }
-        }
-        pt.set_region_summary(r, mn, mx);
     }
 
-    AgeHistogram &cold = cg.mutable_cold_hist();
+    // One load per 64 pages; only set bits are visited. A dirty PTE
+    // on an accessed page retires any stale incompressible verdict;
+    // both bits drop together.
+    const std::size_t words = pt.num_words();
+    for (std::size_t w = 0; w < words; ++w) {
+        std::uint64_t aw = acc[w];
+        if (aw == 0)
+            continue;
+        result.accessed_pages +=
+            static_cast<std::uint64_t>(std::popcount(aw));
+        const std::uint64_t cleared = aw & dirty[w];
+        dirty[w] &= ~aw;
+        incompr[w] &= ~cleared;
+        acc[w] = 0;
+        const auto base = static_cast<PageId>(w * 64);
+        for (; aw != 0; aw &= aw - 1) {
+            PageId p = base + static_cast<PageId>(std::countr_zero(aw));
+            ++promo_counts[pt.stamp(p)];
+        }
+    }
+
+    pt.finish_scan(cg.mutable_cold_hist());
     AgeHistogram &promo = cg.mutable_promo_hist();
-    cold.clear();
     for (std::size_t b = 0; b < kAgeBuckets; ++b) {
-        if (cold_counts[b] != 0)
-            cold.add(static_cast<AgeBucket>(b), cold_counts[b]);
         if (promo_counts[b] != 0)
             promo.add(static_cast<AgeBucket>(b), promo_counts[b]);
     }

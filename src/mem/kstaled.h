@@ -2,8 +2,8 @@
  * @file
  * kstaled: the page-age scanner daemon (Section 5.1).
  *
- * Every scan period (120 s) it walks each job's pages, reading and
- * clearing the accessed bit:
+ * Every scan period (120 s) it reads and clears each job's accessed
+ * bits:
  *   - accessed pages record their pre-scan age into the job's
  *     promotion histogram (a page re-accessed after reaching age A
  *     would have been a promotion under any threshold T <= A), then
@@ -11,6 +11,9 @@
  *   - untouched pages age by one scan period (saturating at 255);
  *   - a dirty PTE clears the incompressible mark.
  * It then rebuilds the job's cold-age histogram from the new ages.
+ * Ages are distances from the page table's scan epoch, so untouched
+ * pages age when the scan advances the epoch; the scan writes only
+ * the accessed pages.
  */
 
 #ifndef SDFM_MEM_KSTALED_H
@@ -110,14 +113,13 @@ class Kstaled
 
   private:
     /**
-     * Hierarchical word-at-a-time walk at stride 1 (the default
-     * config): per 512-page region, one OR over eight accessed words
-     * decides whether the region can take a bulk idle path (zero flag
-     * writes; a fully-saturated region is skipped with a single
-     * histogram add) or needs the per-word mixed path (popcount for
-     * the accessed counter, bit iteration only over accessed pages).
-     * Region age summaries are set exactly on the way through.
-     * Transition-identical to scan_reference() at stride 1.
+     * Word-at-a-time scan at stride 1 (the default config), in
+     * O(words + accessed pages): advance the table's epoch, then
+     * stamp only the pages whose accessed bit is set, one 64-page
+     * bitset word per load. Huge regions are resolved first, one PTE
+     * each. The cold-age histogram comes from the table's epoch ring
+     * and the region bounds from finish_scan(). Transition-identical
+     * to scan_reference() at stride 1.
      */
     void scan_soa(Memcg &cg, ScanResult &result) const;
 

@@ -4,7 +4,8 @@
  * our kernel packs into struct page (Section 5.1): the PTE
  * accessed/dirty bits, the incompressible mark, evictability and
  * far-memory residency. PageTable (page_table.h) stores them, with
- * the 8-bit age in kstaled scan periods, for one address space.
+ * the last-access scan epoch each page's 8-bit age (in kstaled scan
+ * periods) derives from, for one address space.
  */
 
 #ifndef SDFM_MEM_PAGE_H

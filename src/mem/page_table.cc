@@ -1,5 +1,8 @@
 #include "mem/page_table.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "util/digest.h"
 #include "util/invariant.h"
 
@@ -20,7 +23,11 @@ PageTable::resize(std::uint32_t num_pages)
     SDFM_ASSERT(num_pages > 0);
     num_pages_ = num_pages;
     std::size_t words = (static_cast<std::size_t>(num_pages) + 63) / 64;
-    age_.assign(num_pages, 0);
+    epoch_ = 0;
+    last_.assign(num_pages, 0);
+    ring_.fill(0);
+    ring_[0] = num_pages;
+    saturated_ = 0;
     version_.assign(num_pages, 0);
     content_.assign(num_pages,
                     static_cast<std::uint8_t>(ContentClass::kStructured));
@@ -30,30 +37,81 @@ PageTable::resize(std::uint32_t num_pages)
     incompressible_.assign(words, 0);
     in_zswap_.assign(words, 0);
     in_far_.assign(words, 0);
-    region_min_age_.assign(num_summary_regions(), 0);
-    region_max_age_.assign(num_summary_regions(), 0);
+    std::uint32_t regions = num_summary_regions();
+    region_oldest_.assign(regions, 0);
+    region_newest_.assign(regions, 0);
+    stale_regions_.assign((regions + 63) / 64, 0);
+}
+
+void
+PageTable::rebuild_region(std::uint32_t r)
+{
+    PageId first = r * kPageRegionPages;
+    PageId end = first + kPageRegionPages < num_pages_
+                     ? first + kPageRegionPages
+                     : num_pages_;
+    std::uint16_t oldest = 0;
+    std::uint16_t newest = 0xffff;
+    for (PageId p = first; p < end; ++p) {
+        std::uint16_t d = distance(last_[p]);
+        oldest = d > oldest ? d : oldest;
+        newest = d < newest ? d : newest;
+    }
+    region_oldest_[r] = static_cast<std::uint16_t>(epoch_ - oldest);
+    region_newest_[r] = static_cast<std::uint16_t>(epoch_ - newest);
 }
 
 void
 PageTable::rebuild_region_summaries()
 {
     std::uint32_t regions = num_summary_regions();
-    for (std::uint32_t r = 0; r < regions; ++r) {
-        PageId first = r * kPageRegionPages;
-        PageId end = first + kPageRegionPages < num_pages_
-                         ? first + kPageRegionPages
-                         : num_pages_;
-        std::uint8_t mn = 255;
-        std::uint8_t mx = 0;
-        for (PageId p = first; p < end; ++p) {
-            if (age_[p] < mn)
-                mn = age_[p];
-            if (age_[p] > mx)
-                mx = age_[p];
-        }
-        region_min_age_[r] = mn;
-        region_max_age_[r] = mx;
+    for (std::uint32_t r = 0; r < regions; ++r)
+        rebuild_region(r);
+    std::fill(stale_regions_.begin(), stale_regions_.end(), 0);
+}
+
+void
+PageTable::clamp_saturated()
+{
+    auto floor = static_cast<std::uint16_t>(epoch_ - 255);
+    for (std::uint16_t &e : last_) {
+        if (distance(e) > 255)
+            e = floor;
     }
+    rebuild_region_summaries();
+}
+
+void
+PageTable::advance_epoch()
+{
+    ++epoch_;
+    // Pages last accessed 255 scans ago just saturated; their slot is
+    // the one the next epoch's stamps would alias.
+    std::uint32_t &reached = ring_[(epoch_ + 1) & 255];
+    saturated_ += reached;
+    reached = 0;
+    if (epoch_ % kClampPeriod == 0)
+        clamp_saturated();
+}
+
+void
+PageTable::finish_scan(AgeHistogram &cold)
+{
+    for (std::size_t i = 0; i < stale_regions_.size(); ++i) {
+        for (std::uint64_t m = stale_regions_[i]; m != 0; m &= m - 1) {
+            rebuild_region(static_cast<std::uint32_t>(
+                i * 64 + static_cast<std::size_t>(std::countr_zero(m))));
+        }
+        stale_regions_[i] = 0;
+    }
+    cold.clear();
+    for (std::uint32_t a = 0; a < 255; ++a) {
+        std::uint32_t count = ring_[(epoch_ - a) & 255];
+        if (count != 0)
+            cold.add(static_cast<AgeBucket>(a), count);
+    }
+    if (saturated_ != 0)
+        cold.add(255, saturated_);
 }
 
 void
@@ -75,7 +133,7 @@ PageTable::state_digest(StateDigest &d) const
             f |= kPageInZswap;
         if (in_far_[w] & m)
             f |= kPageInFarTier;
-        d.mix(static_cast<std::uint64_t>(age_[p]) << 32 | f << 24 |
+        d.mix(static_cast<std::uint64_t>(age(p)) << 32 | f << 24 |
               static_cast<std::uint64_t>(version_[p]) << 8 |
               static_cast<std::uint64_t>(content_[p]));
     }
@@ -101,7 +159,7 @@ PageTable::ckpt_save(Serializer &s) const
             f |= kPageInZswap;
         if (in_far_[w] & m)
             f |= kPageInFarTier;
-        s.put_u8(age_[p]);
+        s.put_u8(age(p));
         s.put_u8(f);
         s.put_u8(content_[p]);
         s.put_u16(version_[p]);
@@ -116,6 +174,7 @@ PageTable::ckpt_load(Deserializer &d, std::uint64_t &flagged_zswap,
     if (!d.ok() || num == 0)
         return false;
     resize(static_cast<std::uint32_t>(num));
+    ring_.fill(0);
     flagged_zswap = 0;
     flagged_tier = 0;
     for (PageId p = 0; p < num_pages_; ++p) {
@@ -135,7 +194,12 @@ PageTable::ckpt_load(Deserializer &d, std::uint64_t &flagged_zswap,
             ++flagged_tier;
         std::size_t w = word_of(p);
         std::uint64_t m = bit_of(p);
-        age_[p] = age;
+        // Rebase: the restored table starts at epoch 0.
+        last_[p] = static_cast<std::uint16_t>(-age);
+        if (age < 255)
+            ++ring_[last_[p] & 255];
+        else
+            ++saturated_;
         version_[p] = version;
         content_[p] = content;
         if (f & kPageAccessed)
@@ -161,7 +225,7 @@ PageTable::check_invariants() const
     if constexpr (!kInvariantsEnabled)
         return;
 
-    SDFM_INVARIANT(age_.size() == num_pages_ &&
+    SDFM_INVARIANT(last_.size() == num_pages_ &&
                        version_.size() == num_pages_ &&
                        content_.size() == num_pages_,
                    "every per-page array covers the address space");
@@ -182,15 +246,51 @@ PageTable::check_invariants() const
                        (in_zswap_.back() & tail) == 0 &&
                        (in_far_.back() & tail) == 0,
                    "bitset tail bits beyond the last page are zero");
-    SDFM_INVARIANT(region_min_age_.size() == num_summary_regions() &&
-                       region_max_age_.size() == num_summary_regions(),
+    const std::uint32_t regions = num_summary_regions();
+    SDFM_INVARIANT(region_oldest_.size() == regions &&
+                       region_newest_.size() == regions &&
+                       stale_regions_.size() == (regions + 63) / 64,
                    "region summaries cover the address space");
-    for (PageId p = 0; p < num_pages_; ++p) {
-        std::uint32_t r = p / kPageRegionPages;
-        SDFM_INVARIANT(region_min_age_[r] <= age_[p] &&
-                           age_[p] <= region_max_age_[r],
-                       "every page age lies inside its region summary");
+
+    // The clamp sweep runs whenever the epoch crosses a multiple of
+    // kClampPeriod, and restores and resizes start at epoch 0, so no
+    // page can have idled more than 255 scans past the last sweep.
+    const std::uint32_t wrap_bound = 255 + epoch_ % kClampPeriod;
+    std::array<std::uint64_t, kAgeBuckets> ages{};
+    for (std::uint32_t r = 0; r < regions; ++r) {
+        PageId first = r * kPageRegionPages;
+        PageId end = first + kPageRegionPages < num_pages_
+                         ? first + kPageRegionPages
+                         : num_pages_;
+        std::uint16_t oldest = distance(region_oldest_[r]);
+        std::uint16_t newest = distance(region_newest_[r]);
+        std::uint16_t max_d = 0;
+        std::uint16_t min_d = 0xffff;
+        for (PageId p = first; p < end; ++p) {
+            std::uint16_t d = distance(last_[p]);
+            SDFM_INVARIANT(d <= wrap_bound,
+                           "every page epoch lies within the wrap bound");
+            SDFM_INVARIANT(newest <= d && d <= oldest,
+                           "region epoch bounds contain every page epoch");
+            SDFM_INVARIANT(region_min_age(r) <= age(p) &&
+                               age(p) <= region_max_age(r),
+                           "every page age lies inside its region summary");
+            max_d = d > max_d ? d : max_d;
+            min_d = d < min_d ? d : min_d;
+            ++ages[age(p)];
+        }
+        bool stale = (stale_regions_[r >> 6] >> (r & 63)) & 1;
+        SDFM_INVARIANT(stale || (oldest == max_d && newest == min_d),
+                       "unmarked region epoch bounds are exact");
     }
+    SDFM_INVARIANT(ring_[(epoch_ + 1) & 255] == 0,
+                   "the just-saturated ring slot is empty");
+    for (std::uint32_t a = 0; a < 255; ++a) {
+        SDFM_INVARIANT(ring_[(epoch_ - a) & 255] == ages[a],
+                       "the epoch ring counts every derived age");
+    }
+    SDFM_INVARIANT(saturated_ == ages[255],
+                   "the saturated bucket counts every age-255 page");
 }
 
 }  // namespace sdfm

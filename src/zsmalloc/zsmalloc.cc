@@ -1,6 +1,7 @@
 #include "zsmalloc/zsmalloc.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "util/invariant.h"
@@ -177,11 +178,26 @@ std::uint64_t
 ZsmallocArena::compact()
 {
     ++stats_.compactions;
-    std::uint64_t released = 0;
 
     // Per class: the minimum number of zspages that can hold the live
     // objects. Migrate objects out of the sparsest zspages until that
     // bound is met. We model migration by rewriting entry zspage ids.
+    // A zspage is backed iff it is not in the free-slot list, so a
+    // class that already meets its bound is skipped in O(1).
+    struct ClassPlan
+    {
+        std::uint16_t class_idx = 0;
+        /** Backed zspages, sparsest first: the first evacuate_count
+         *  are emptied, the rest receive in order. */
+        std::vector<std::uint32_t> live_zspages;
+        std::size_t evacuate_count = 0;
+        std::vector<bool> evacuate;
+        std::size_t recv_pos = 0;
+    };
+    std::vector<ClassPlan> plans;
+    constexpr std::uint32_t kNoPlan = UINT32_MAX;
+    std::array<std::uint32_t, kNumClasses> plan_of;
+    plan_of.fill(kNoPlan);
     for (std::uint16_t class_idx = 0; class_idx < classes_.size();
          ++class_idx) {
         SizeClass &cls = classes_[class_idx];
@@ -189,54 +205,62 @@ ZsmallocArena::compact()
             continue;
         std::uint64_t needed = (cls.live + cls.objects_per_zspage - 1) /
                                cls.objects_per_zspage;
-        // Count currently backed zspages.
-        std::vector<std::uint32_t> live_zspages;
+        if (cls.zspage_occupancy.size() - cls.free_zspage_slots.size() <=
+            needed) {
+            continue;
+        }
+        ClassPlan plan;
+        plan.class_idx = class_idx;
         for (std::uint32_t id = 0; id < cls.zspage_occupancy.size(); ++id) {
             if (cls.zspage_occupancy[id] > 0)
-                live_zspages.push_back(id);
+                plan.live_zspages.push_back(id);
         }
-        if (live_zspages.size() <= needed)
-            continue;
         // Sort by occupancy: evacuate the sparsest.
-        std::sort(live_zspages.begin(), live_zspages.end(),
+        std::sort(plan.live_zspages.begin(), plan.live_zspages.end(),
                   [&](std::uint32_t a, std::uint32_t b) {
                       return cls.zspage_occupancy[a] <
                              cls.zspage_occupancy[b];
                   });
-        std::size_t evacuate_count = live_zspages.size() - needed;
-        std::vector<bool> evacuate(cls.zspage_occupancy.size(), false);
-        for (std::size_t i = 0; i < evacuate_count; ++i)
-            evacuate[live_zspages[i]] = true;
+        plan.evacuate_count = plan.live_zspages.size() - needed;
+        plan.evacuate.assign(cls.zspage_occupancy.size(), false);
+        for (std::size_t i = 0; i < plan.evacuate_count; ++i)
+            plan.evacuate[plan.live_zspages[i]] = true;
+        plan.recv_pos = plan.evacuate_count;
+        plan_of[class_idx] = static_cast<std::uint32_t>(plans.size());
+        plans.push_back(std::move(plan));
+    }
+    if (plans.empty())
+        return 0;
 
-        // Receivers: the remaining (densest) zspages, filled in order.
-        std::vector<std::uint32_t> receivers(
-            live_zspages.begin() +
-                static_cast<std::ptrdiff_t>(evacuate_count),
-            live_zspages.end());
-        std::size_t recv_pos = 0;
-
-        for (std::uint64_t slot = 1; slot < entries_.size(); ++slot) {
-            Entry &entry = entries_[slot];
-            if (!entry.live || entry.class_idx != class_idx ||
-                !evacuate[entry.zspage]) {
-                continue;
-            }
-            while (recv_pos < receivers.size() &&
-                   cls.zspage_occupancy[receivers[recv_pos]] >=
-                       cls.objects_per_zspage) {
-                ++recv_pos;
-            }
-            SDFM_ASSERT(recv_pos < receivers.size());
-            std::uint32_t dst = receivers[recv_pos];
-            --cls.zspage_occupancy[entry.zspage];
-            ++cls.zspage_occupancy[dst];
-            entry.zspage = dst;
-            stats_.compaction_moved_bytes += entry.size;
+    // One walk of the entry table serves every class with work; each
+    // class still moves its objects in slot order.
+    for (std::uint64_t slot = 1; slot < entries_.size(); ++slot) {
+        Entry &entry = entries_[slot];
+        if (!entry.live || plan_of[entry.class_idx] == kNoPlan)
+            continue;
+        ClassPlan &plan = plans[plan_of[entry.class_idx]];
+        if (!plan.evacuate[entry.zspage])
+            continue;
+        SizeClass &cls = classes_[entry.class_idx];
+        while (plan.recv_pos < plan.live_zspages.size() &&
+               cls.zspage_occupancy[plan.live_zspages[plan.recv_pos]] >=
+                   cls.objects_per_zspage) {
+            ++plan.recv_pos;
         }
+        SDFM_ASSERT(plan.recv_pos < plan.live_zspages.size());
+        std::uint32_t dst = plan.live_zspages[plan.recv_pos];
+        --cls.zspage_occupancy[entry.zspage];
+        ++cls.zspage_occupancy[dst];
+        entry.zspage = dst;
+        stats_.compaction_moved_bytes += entry.size;
+    }
 
+    std::uint64_t released = 0;
+    for (const ClassPlan &plan : plans) {
+        SizeClass &cls = classes_[plan.class_idx];
         // Release evacuated zspages.
-        for (std::size_t i = 0; i < evacuate_count; ++i) {
-            std::uint32_t id = live_zspages[i];
+        for (std::size_t i = 0; i < plan.evacuate_count; ++i) {
+            std::uint32_t id = plan.live_zspages[i];
             SDFM_ASSERT(cls.zspage_occupancy[id] == 0);
             cls.free_zspage_slots.push_back(id);
             std::uint64_t bytes =
@@ -296,11 +320,13 @@ ZsmallocArena::check_invariants() const
     for (std::size_t c = 0; c < classes_.size(); ++c) {
         const SizeClass &cls = classes_[c];
         std::uint64_t occupied = 0;
+        std::uint64_t backed = 0;
         for (std::uint32_t occ : cls.zspage_occupancy) {
             SDFM_INVARIANT(occ <= cls.objects_per_zspage,
                            "zspage occupancy within capacity");
             occupied += occ;
             if (occ > 0) {
+                ++backed;
                 pool += static_cast<std::uint64_t>(cls.pages_per_zspage) *
                         kPageSize;
             }
@@ -309,6 +335,11 @@ ZsmallocArena::check_invariants() const
                        "class live count matches summed occupancy");
         SDFM_INVARIANT(cls.live == class_live[c],
                        "class live count matches the entry table");
+        SDFM_INVARIANT(cls.zspage_occupancy.size() -
+                               cls.free_zspage_slots.size() ==
+                           backed,
+                       "every empty zspage is in the free-slot list "
+                       "(compact() counts backed zspages from it)");
         for (std::uint32_t id : cls.free_zspage_slots) {
             SDFM_INVARIANT(id < cls.zspage_occupancy.size(),
                            "free zspage slot id in range");
@@ -460,6 +491,20 @@ ZsmallocArena::ckpt_load(Deserializer &d)
              classes_[entry.class_idx].zspage_occupancy[entry.zspage] ==
                  0)) {
             return false;
+        }
+    }
+    // Each class's free-slot list holds every empty zspage exactly
+    // once: compact() counts backed zspages from its length.
+    for (const SizeClass &cls : classes_) {
+        std::vector<bool> listed(cls.zspage_occupancy.size(), false);
+        for (std::uint32_t id : cls.free_zspage_slots) {
+            if (cls.zspage_occupancy[id] != 0 || listed[id])
+                return false;
+            listed[id] = true;
+        }
+        for (std::uint32_t id = 0; id < cls.zspage_occupancy.size(); ++id) {
+            if (cls.zspage_occupancy[id] == 0 && !listed[id])
+                return false;
         }
     }
     return true;

@@ -76,7 +76,10 @@ class ZsmallocArena : public Checkpointable
 
     /**
      * Compact: migrate objects out of sparse zspages within each size
-     * class, releasing emptied zspages.
+     * class, releasing emptied zspages. A class that already meets its
+     * minimum zspage count is skipped in O(1); one walk of the entry
+     * table moves the objects of all the others, each class's in slot
+     * order.
      *
      * @return Pool bytes released.
      */
@@ -122,7 +125,8 @@ class ZsmallocArena : public Checkpointable
      * each size class's dynamic occupancy. Handles stay stable across
      * a round trip because a handle IS the entry index. The static
      * class geometry is rebuilt by the constructor; ckpt_load()
-     * rejects payloads whose accounting does not reconcile.
+     * rejects payloads whose accounting does not reconcile, or whose
+     * free-slot lists do not hold every empty zspage exactly once.
      */
     void ckpt_save(Serializer &s) const override;
     bool ckpt_load(Deserializer &d) override;

@@ -647,6 +647,121 @@ TEST(WalkOracle, ScanSoaMatchesReferenceWalk)
     }
 }
 
+/** The stride-1 scan and the reference walk agree on everything a
+ *  scan produces: ages, both histograms, exact summaries, digest. */
+void
+expect_same_scan_state(const Memcg &fast, const Memcg &ref)
+{
+    for (PageId p = 0; p < fast.num_pages(); ++p)
+        ASSERT_EQ(fast.page_age(p), ref.page_age(p)) << "page " << p;
+    EXPECT_TRUE(fast.cold_hist() == ref.cold_hist());
+    EXPECT_TRUE(fast.promo_hist() == ref.promo_hist());
+    expect_exact_summaries(fast.pages());
+    EXPECT_EQ(page_digest(fast), page_digest(ref));
+    fast.pages().check_invariants();
+}
+
+// 2^16 + 1,024 scans of one region: past both clamp sweeps and the
+// u16 wrap of the epoch. The region starts huge-mapped, with sparse
+// accesses that reset every page at once, the last of them at scan
+// 1,000. Split, it then takes sparse accesses in its first word and
+// point writes in its second, so its other 384 pages idle from scan
+// 1,000 to the end: 65,560 scans, more than a 16-bit epoch distance
+// can express without the clamp, and the last check lands 24 scans
+// past the point where their unclamped distance would wrap to zero.
+// A late huge stretch without accesses ages every page as one.
+TEST(KstaledEpoch, ScansPastTheEpochWrapMatchTheReferenceWalk)
+{
+    constexpr std::uint32_t kScans = (1u << 16) + 1024;
+    constexpr std::uint32_t kLastHugeAccess = 1000;
+    constexpr std::uint32_t kLateHuge = 66000;
+    static_assert(kScans - kLastHugeAccess > (1u << 16));
+    Kstaled kstaled;
+    Memcg fast(1, kPageRegionPages, 42, compressible_mix(), 0);
+    Memcg ref(1, kPageRegionPages, 42, compressible_mix(), 0);
+    Rng rng(2024);
+    std::uint32_t checked = 0;
+    for (std::uint32_t scan = 1; scan <= kScans; ++scan) {
+        bool huge = scan <= kLastHugeAccess ||
+                    (scan > kLateHuge && scan <= kLateHuge + 300);
+        for (Memcg *cg : {&fast, &ref}) {
+            if (huge && !cg->region_is_huge(0))
+                cg->map_huge_region(0);
+            else if (!huge && cg->region_is_huge(0))
+                cg->split_huge_region(0);
+        }
+        bool touch = scan <= kLastHugeAccess || !huge;
+        if (touch && (rng.next_bool(0.1) || scan == kLastHugeAccess)) {
+            int touches = 1 + static_cast<int>(rng.next_below(3));
+            for (int i = 0; i < touches; ++i) {
+                auto p = static_cast<PageId>(rng.next_below(64));
+                bool write = rng.next_bool(0.3);
+                for (Memcg *cg : {&fast, &ref}) {
+                    cg->page_set(p, kPageAccessed);
+                    if (write)
+                        cg->page_set(p, kPageDirty);
+                }
+            }
+        }
+        if (scan % 97 == 0) {
+            auto p = static_cast<PageId>(64 + rng.next_below(64));
+            auto age = static_cast<std::uint8_t>(rng.next_below(256));
+            fast.set_page_age(p, age);
+            ref.set_page_age(p, age);
+        }
+
+        ScanResult got = kstaled.scan(fast);  // stride 1: scan_soa
+        ScanResult want;
+        kstaled.scan_reference(ref, 1, 0, want);
+        ASSERT_EQ(got.pages_scanned, want.pages_scanned) << scan;
+        ASSERT_EQ(got.accessed_pages, want.accessed_pages) << scan;
+
+        std::uint32_t phase = scan % PageTable::kClampPeriod;
+        bool near_clamp = phase <= 1 || phase == PageTable::kClampPeriod - 1;
+        if (scan % 1024 == 0 || near_clamp) {
+            SCOPED_TRACE(testing::Message() << "scan " << scan);
+            expect_same_scan_state(fast, ref);
+            ++checked;
+        }
+    }
+    EXPECT_EQ(fast.page_age(kPageRegionPages - 1), 255);
+    EXPECT_EQ(checked, kScans / 1024 + 5);  // and scans 1, 2^15±1, 2^16±1
+}
+
+// A point write that moves a page's age down and back up widens the
+// region bounds both ways; the next scan must leave them exact, and
+// an access in the region must not hide the stale bound.
+TEST(KstaledEpoch, PointWritesDownAndBackUpLeaveExactSummaries)
+{
+    Kstaled kstaled;
+    Memcg fast(1, 2 * kPageRegionPages, 42, compressible_mix(), 0);
+    Memcg ref(1, 2 * kPageRegionPages, 42, compressible_mix(), 0);
+    for (Memcg *cg : {&fast, &ref}) {
+        for (PageId p = 0; p < cg->num_pages(); ++p)
+            cg->set_page_age(p, static_cast<std::uint8_t>(50 + p % 100));
+        cg->pages().rebuild_region_summaries();
+    }
+    for (int round = 0; round < 3; ++round) {
+        for (Memcg *cg : {&fast, &ref}) {
+            cg->set_page_age(7, 3);      // below the region minimum
+            cg->set_page_age(7, 250);    // above the region maximum
+            cg->set_page_age(7, 100);    // back inside
+            cg->set_page_age(kPageRegionPages + 9, 0);
+            cg->set_page_age(kPageRegionPages + 9, 120);
+            if (round == 1)
+                cg->page_set(kPageRegionPages + 49, kPageAccessed);
+        }
+        EXPECT_EQ(fast.pages().region_min_age(0), 3);
+        EXPECT_EQ(fast.pages().region_max_age(0), 250);
+        ScanResult want;
+        kstaled.scan(fast);
+        kstaled.scan_reference(ref, 1, 0, want);
+        SCOPED_TRACE(testing::Message() << "round " << round);
+        expect_same_scan_state(fast, ref);
+        expect_exact_summaries(ref.pages());
+    }
+}
+
 /** A deep tier that takes every page and records the order of the
  *  store attempts it sees. */
 class RecordingTier : public FarTier

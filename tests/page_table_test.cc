@@ -4,13 +4,18 @@
  * digest fold and the checkpoint bytes against a one-record-per-page
  * reference model under randomized op sequences, word-boundary and
  * popcount edge cases, region-summary staleness semantics (point
- * writes widen, rebuilds tighten), and pinned fleet digests that hold
- * whole trajectories fixed.
+ * writes widen, rebuilds tighten), and pinned fleet digests and
+ * checkpoint hashes that hold whole trajectories fixed.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/checkpoint.h"
@@ -411,6 +416,73 @@ TEST(PageTableFleet, HugePageNvmFleetMatchesPinnedDigests)
     config.cluster.machine.tiers = {nvm};
     expect_pinned_trajectory(config, 0xfbfdf9c0d8859314ULL,
                              0x93d5e6a4aa0e5c93ULL);
+}
+
+/** RAII checkpoint path, removed on scope exit. */
+struct TempFile
+{
+    explicit TempFile(std::string name) : path(std::move(name)) {}
+    ~TempFile() { std::remove(path.c_str()); }
+    std::string path;
+};
+
+/** StateDigest over every byte of a file. */
+std::uint64_t
+file_hash(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    StateDigest d;
+    for (char c : bytes)
+        d.mix(static_cast<unsigned char>(c));
+    return d.value();
+}
+
+// 600 steps is 300 kstaled scans: step 300 sits mid-way up the 8-bit
+// age ramp, step 600 is 45 scans past the point where pages never
+// touched since populate saturate at 255. The digests and the
+// checkpoint files' bytes at both steps are pinned, and restores from
+// step 300 (before saturation) and step 560 (after it) must rejoin the
+// uninterrupted trajectory. The values were captured on the build
+// that still kept one 8-bit age per page and aged idle pages by
+// incrementing them.
+TEST(PageTableFleet, SmallFleetPastSaturationMatchesPinnedCheckpoints)
+{
+    constexpr std::uint64_t kDigest300 = 0x9b07c6ba63e9e8feULL;
+    constexpr std::uint64_t kDigest600 = 0xf70e82bbef772d84ULL;
+    constexpr std::uint64_t kCkptHash300 = 0xb3ef99680ce2c9b6ULL;
+    constexpr std::uint64_t kCkptHash600 = 0x4a1783759535fc54ULL;
+    const FleetConfig config = small_fleet_config();
+    TempFile at300("page_table_fleet_300.ckpt");
+    TempFile at560("page_table_fleet_560.ckpt");
+    TempFile at600("page_table_fleet_600.ckpt");
+
+    FarMemorySystem fleet(config);
+    fleet.populate();
+    for (int step = 1; step <= 600; ++step) {
+        fleet.step();
+        if (step == 300) {
+            EXPECT_EQ(fleet.state_digest(), kDigest300);
+            ASSERT_EQ(fleet.checkpoint(at300.path), CkptStatus::kOk);
+            EXPECT_EQ(file_hash(at300.path), kCkptHash300);
+        } else if (step == 560) {
+            ASSERT_EQ(fleet.checkpoint(at560.path), CkptStatus::kOk);
+        }
+    }
+    EXPECT_EQ(fleet.state_digest(), kDigest600);
+    ASSERT_EQ(fleet.checkpoint(at600.path), CkptStatus::kOk);
+    EXPECT_EQ(file_hash(at600.path), kCkptHash600);
+
+    for (const auto &[path, from] :
+         {std::pair{at300.path, 300}, std::pair{at560.path, 560}}) {
+        FarMemorySystem resumed(config);
+        ASSERT_EQ(resumed.restore(path), CkptStatus::kOk) << path;
+        for (int step = from; step < 600; ++step)
+            resumed.step();
+        EXPECT_EQ(resumed.state_digest(), kDigest600)
+            << "restored at step " << from;
+    }
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
 /**
  * @file
  * Tests for the zsmalloc arena: accounting invariants, payload
- * round-trips, fragmentation behaviour, compaction, and the
- * global-vs-per-memcg arena comparison the paper describes.
+ * round-trips, fragmentation behaviour, compaction (held move for
+ * move to a per-class reference loop), and the global-vs-per-memcg
+ * arena comparison the paper describes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "ckpt/checkpoint.h"
 #include "util/rng.h"
 #include "util/units.h"
 #include "zsmalloc/zsmalloc.h"
@@ -242,6 +245,284 @@ TEST_P(ZsmallocChurn, AccountingInvariants)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ZsmallocChurn,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+/**
+ * Reference model of an arena, read from and written back to its
+ * checkpoint wire, with compaction as one entry-table walk per
+ * over-bound class: the loop ZsmallocArena::compact() ran before it
+ * walked the table once for every class. The arena's compaction must
+ * make the same moves, so the wire after compact() -- entry-to-zspage
+ * map, free-slot and candidate order, pool bytes and moved bytes --
+ * must equal this model's.
+ */
+struct ReferenceArena
+{
+    struct Entry
+    {
+        std::uint32_t size = 0;
+        std::uint16_t class_idx = 0;
+        std::uint32_t zspage = 0;
+        bool live = false;
+        std::vector<std::uint8_t> bytes;
+    };
+    struct SizeClass
+    {
+        std::uint32_t objects_per_zspage = 0;
+        std::uint32_t pages_per_zspage = 0;
+        std::vector<std::uint32_t> zspage_occupancy;
+        std::vector<std::uint32_t> candidates;
+        std::vector<std::uint32_t> free_zspage_slots;
+        std::uint64_t live = 0;
+    };
+
+    bool keep_payload_bytes = false;
+    std::vector<Entry> entries;
+    std::vector<std::uint64_t> free_entries;
+    std::vector<SizeClass> classes;
+    std::uint64_t stats[7] = {};  // live .. compaction_moved_bytes
+
+    static std::uint32_t
+    pages_per_zspage(std::uint32_t object_size)
+    {
+        std::uint32_t best = 1;
+        std::uint32_t best_waste = kPageSize % object_size;
+        for (std::uint32_t p = 2; p <= 4; ++p) {
+            std::uint32_t waste = (p * kPageSize) % object_size;
+            if (waste * best < best_waste * p) {
+                best = p;
+                best_waste = waste;
+            }
+        }
+        return best;
+    }
+
+    explicit ReferenceArena(const std::vector<std::uint8_t> &wire)
+    {
+        Deserializer d(wire);
+        keep_payload_bytes = d.get_bool();
+        entries.resize(d.get_u64());
+        for (std::size_t slot = 1; slot < entries.size(); ++slot) {
+            Entry &e = entries[slot];
+            e.size = d.get_u32();
+            e.class_idx = d.get_u16();
+            e.zspage = d.get_u32();
+            e.live = d.get_bool();
+            e.bytes.resize(d.get_u64());
+            for (std::uint8_t &b : e.bytes)
+                b = d.get_u8();
+        }
+        free_entries = d.get_u64_vec();
+        classes.resize(d.get_u64());
+        for (std::size_t c = 0; c < classes.size(); ++c) {
+            SizeClass &cls = classes[c];
+            auto object_size = static_cast<std::uint32_t>(32 * (c + 1));
+            cls.pages_per_zspage = pages_per_zspage(object_size);
+            cls.objects_per_zspage =
+                cls.pages_per_zspage * kPageSize / object_size;
+            for (auto *v : {&cls.zspage_occupancy, &cls.candidates,
+                            &cls.free_zspage_slots}) {
+                v->resize(d.get_u64());
+                for (std::uint32_t &x : *v)
+                    x = d.get_u32();
+            }
+            cls.live = d.get_u64();
+        }
+        for (std::uint64_t &x : stats)
+            x = d.get_u64();
+        EXPECT_TRUE(d.ok() && d.at_end());
+    }
+
+    std::vector<std::uint8_t>
+    wire() const
+    {
+        Serializer s;
+        s.put_bool(keep_payload_bytes);
+        s.put_u64(entries.size());
+        for (std::size_t slot = 1; slot < entries.size(); ++slot) {
+            const Entry &e = entries[slot];
+            s.put_u32(e.size);
+            s.put_u16(e.class_idx);
+            s.put_u32(e.zspage);
+            s.put_bool(e.live);
+            s.put_u64(e.bytes.size());
+            for (std::uint8_t b : e.bytes)
+                s.put_u8(b);
+        }
+        s.put_u64_vec(free_entries);
+        s.put_u64(classes.size());
+        for (const SizeClass &cls : classes) {
+            for (const auto *v : {&cls.zspage_occupancy, &cls.candidates,
+                                  &cls.free_zspage_slots}) {
+                s.put_u64(v->size());
+                for (std::uint32_t x : *v)
+                    s.put_u32(x);
+            }
+            s.put_u64(cls.live);
+        }
+        for (std::uint64_t x : stats)
+            s.put_u64(x);
+        return s.bytes();
+    }
+
+    std::uint64_t
+    compact()
+    {
+        std::uint64_t &pool_bytes = stats[2];
+        std::uint64_t &compactions = stats[5];
+        std::uint64_t &moved_bytes = stats[6];
+        ++compactions;
+        std::uint64_t released = 0;
+        for (std::uint16_t class_idx = 0; class_idx < classes.size();
+             ++class_idx) {
+            SizeClass &cls = classes[class_idx];
+            if (cls.live == 0)
+                continue;
+            std::uint64_t needed =
+                (cls.live + cls.objects_per_zspage - 1) /
+                cls.objects_per_zspage;
+            std::vector<std::uint32_t> live_zspages;
+            for (std::uint32_t id = 0; id < cls.zspage_occupancy.size();
+                 ++id) {
+                if (cls.zspage_occupancy[id] > 0)
+                    live_zspages.push_back(id);
+            }
+            if (live_zspages.size() <= needed)
+                continue;
+            std::sort(live_zspages.begin(), live_zspages.end(),
+                      [&](std::uint32_t a, std::uint32_t b) {
+                          return cls.zspage_occupancy[a] <
+                                 cls.zspage_occupancy[b];
+                      });
+            std::size_t evacuate_count = live_zspages.size() - needed;
+            std::vector<bool> evacuate(cls.zspage_occupancy.size(), false);
+            for (std::size_t i = 0; i < evacuate_count; ++i)
+                evacuate[live_zspages[i]] = true;
+            std::vector<std::uint32_t> receivers(
+                live_zspages.begin() +
+                    static_cast<std::ptrdiff_t>(evacuate_count),
+                live_zspages.end());
+            std::size_t recv_pos = 0;
+            for (std::size_t slot = 1; slot < entries.size(); ++slot) {
+                Entry &e = entries[slot];
+                if (!e.live || e.class_idx != class_idx ||
+                    !evacuate[e.zspage]) {
+                    continue;
+                }
+                while (recv_pos < receivers.size() &&
+                       cls.zspage_occupancy[receivers[recv_pos]] >=
+                           cls.objects_per_zspage) {
+                    ++recv_pos;
+                }
+                std::uint32_t dst = receivers.at(recv_pos);
+                --cls.zspage_occupancy[e.zspage];
+                ++cls.zspage_occupancy[dst];
+                e.zspage = dst;
+                moved_bytes += e.size;
+            }
+            for (std::size_t i = 0; i < evacuate_count; ++i) {
+                cls.free_zspage_slots.push_back(live_zspages[i]);
+                std::uint64_t bytes =
+                    std::uint64_t{cls.pages_per_zspage} * kPageSize;
+                pool_bytes -= bytes;
+                released += bytes;
+            }
+            cls.candidates.clear();
+            for (std::uint32_t id = 0; id < cls.zspage_occupancy.size();
+                 ++id) {
+                if (cls.zspage_occupancy[id] > 0 &&
+                    cls.zspage_occupancy[id] < cls.objects_per_zspage) {
+                    cls.candidates.push_back(id);
+                }
+            }
+        }
+        return released;
+    }
+};
+
+std::vector<std::uint8_t>
+arena_wire(const ZsmallocArena &arena)
+{
+    Serializer s;
+    arena.ckpt_save(s);
+    return s.bytes();
+}
+
+TEST(ZsmallocCompact, OneWalkMakesThePerClassLoopsMoves)
+{
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Rng rng(seed);
+        ZsmallocArena arena(seed == 3);  // one arena keeps payloads
+        std::vector<ZsHandle> live;
+        std::uint64_t compactions_with_moves = 0;
+        for (int round = 0; round < 60; ++round) {
+            // A few hot size classes, so several classes go over
+            // their bound at once, plus a spread of others.
+            int stores = 100 + static_cast<int>(rng.next_below(300));
+            for (int i = 0; i < stores; ++i) {
+                auto size = static_cast<std::uint32_t>(
+                    rng.next_bool(0.7) ? 200 + 320 * rng.next_below(5) +
+                                             rng.next_below(32)
+                                       : 1 + rng.next_below(4096));
+                std::vector<std::uint8_t> bytes(size,
+                                                static_cast<std::uint8_t>(i));
+                live.push_back(arena.store(size, bytes.data()));
+            }
+            double release_frac = 0.2 + 0.5 * rng.next_double();
+            for (std::size_t i = 0; i < live.size();) {
+                if (rng.next_bool(release_frac)) {
+                    arena.release(live[i]);
+                    live[i] = live.back();
+                    live.pop_back();
+                } else {
+                    ++i;
+                }
+            }
+
+            ReferenceArena want(arena_wire(arena));
+            std::uint64_t moved_before = arena.stats().compaction_moved_bytes;
+            std::uint64_t want_released = want.compact();
+            EXPECT_EQ(arena.compact(), want_released)
+                << "seed " << seed << " round " << round;
+            ASSERT_EQ(arena_wire(arena), want.wire())
+                << "seed " << seed << " round " << round;
+            arena.check_invariants();
+            if (arena.stats().compaction_moved_bytes > moved_before)
+                ++compactions_with_moves;
+        }
+        EXPECT_GT(compactions_with_moves, 30u) << "seed " << seed;
+    }
+}
+
+// compact() counts a class's backed zspages from its free-slot list,
+// so a restore must not accept a list that misses or repeats an empty
+// zspage.
+TEST(ZsmallocCompact, RestoreRejectsFreeSlotListsThatMissOrRepeatAZspage)
+{
+    ZsmallocArena arena;
+    std::vector<ZsHandle> handles;
+    for (int i = 0; i < 64; ++i)
+        handles.push_back(arena.store(1000));  // 4 per one-page zspage
+    for (int i = 0; i < 8; ++i)
+        arena.release(handles[static_cast<std::size_t>(i)]);
+    ReferenceArena wire(arena_wire(arena));
+    std::vector<std::uint32_t> &free_slots =
+        wire.classes[31].free_zspage_slots;  // the 1,024-byte class
+    ASSERT_EQ(free_slots, (std::vector<std::uint32_t>{0, 1}));
+
+    auto loads = [&](std::vector<std::uint32_t> slots) {
+        ReferenceArena edited = wire;
+        edited.classes[31].free_zspage_slots = std::move(slots);
+        std::vector<std::uint8_t> bytes = edited.wire();
+        Deserializer d(bytes);
+        ZsmallocArena back;
+        return back.ckpt_load(d);
+    };
+    EXPECT_TRUE(loads({0, 1}));
+    EXPECT_TRUE(loads({1, 0}));
+    EXPECT_FALSE(loads({0}));     // zspage 1 is empty but unlisted
+    EXPECT_FALSE(loads({0, 0}));  // listed twice, 1 missing
+    EXPECT_FALSE(loads({0, 1, 2}));  // zspage 2 is backed
+}
 
 /**
  * The paper's Section 5.1 finding: one machine-global arena
