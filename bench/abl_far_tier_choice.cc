@@ -3,8 +3,8 @@
  * Ablation (Section 2.1 / 3.1): why the paper chose zswap over remote
  * memory as its first far-memory tier. Three machines run the same
  * workload with zswap only, a local NVM second tier, and a remote
- * second tier; remote donors fail at a realistic machine-failure
- * rate.
+ * second tier of eight donors' leases; donors fail at a realistic
+ * machine-failure rate and a crashed donor's lease is replaced.
  *
  * The comparison the paper argues in prose, as a table:
  *   - remote promotions are slower and heavier-tailed than local
@@ -48,17 +48,32 @@ run_choice(TierChoice choice, std::uint64_t seed)
     MachineConfig config;
     config.dram_pages = 192ull * kMiB / kPageSize;
     config.compression = CompressionMode::kModeled;
+    // Either second tier holds 16384 pages and claims the ages in
+    // [T, 4T); remote memory's are eight donors' leases.
+    constexpr std::uint32_t kDonors = 8;
+    constexpr std::uint64_t kPagesPerDonor = 16384 / kDonors;
+    TierConfig tier;
+    tier.band_hi = 4.0;
     if (choice == TierChoice::kNvm) {
-        config.nvm.capacity_pages = 16384;
+        tier.kind = TierKind::kNvm;
+        tier.nvm.capacity_pages = 16384;
+        config.tiers = {tier};
     } else if (choice == TierChoice::kRemote) {
-        config.remote.capacity_pages = 16384;
-        // A donor pool of 8 machines. Real machine-failure rates
-        // (~0.5%/machine/day) would need a months-long window to show
-        // up, so the rate is accelerated to make the 12-hour bench
-        // exhibit what a quarter of production exhibits.
-        config.remote_donor_failures_per_hour = 0.25;
+        tier.kind = TierKind::kRemote;
+        config.tiers = {tier};
+        // Real machine-failure rates (~0.5%/machine/day) would need a
+        // months-long window to show up, so the rate is accelerated
+        // (0.25 per hour) to make the 12-hour bench exhibit what a
+        // quarter of production exhibits.
+        config.fault.enabled = true;
+        config.fault.donor_failure_prob = 0.25 / 60.0;
     }
     Machine machine(0, config, seed);
+    std::uint32_t next_lease = 0;
+    if (choice == TierChoice::kRemote) {
+        for (; next_lease < kDonors; ++next_lease)
+            machine.remote_tier()->grant_lease(next_lease, kPagesPerDonor);
+    }
 
     FleetMix mix = typical_fleet_mix();
     Rng rng(seed + 9);
@@ -78,6 +93,15 @@ run_choice(TierChoice choice, std::uint64_t seed)
         MachineStepResult result = machine.step(now);
         if (result.donor_failures > 0)
             outcome.jobs_killed_by_tier += result.evicted.size();
+        if (choice == TierChoice::kRemote) {
+            // The failed donor is replaced by a fresh one.
+            std::size_t crashed =
+                machine.remote_tier()->take_dead_leases().size();
+            for (; crashed > 0; --crashed) {
+                machine.remote_tier()->grant_lease(next_lease++,
+                                                   kPagesPerDonor);
+            }
+        }
         // The cluster scheduler restarts killed jobs (fresh state, as
         // after any eviction).
         for (std::size_t i = 0; i < result.evicted.size(); ++i) {

@@ -46,31 +46,38 @@ base_config()
     return config;
 }
 
+/** zswap plus, when @p nvm_capacity_pages > 0, an NVM tier for the
+ *  ages in [T, 4T). */
 MachineConfig
-legacy_nvm_config(std::uint64_t nvm_capacity_pages)
+nvm_config(std::uint64_t nvm_capacity_pages)
 {
     MachineConfig config = base_config();
-    config.nvm.capacity_pages = nvm_capacity_pages;
+    if (nvm_capacity_pages > 0) {
+        TierConfig nvm;
+        nvm.kind = TierKind::kNvm;
+        nvm.nvm.capacity_pages = nvm_capacity_pages;
+        nvm.band_hi = 4.0;
+        config.tiers = {nvm};
+    }
     return config;
 }
 
 /**
- * The paper's full future-work shape as an explicit TierStack: a
+ * The paper's full future-work shape as a TierStack: a
  * small sub-us NVM tier preferred for the moderately cold band, big
  * single-digit-us remote memory behind it absorbing NVM overflow and
  * the deep cold, zswap as the catch-all. Stack order is routing
  * priority (deepest matching band consulted first), so NVM is listed
  * last: it wins its band while it has space, and rejected pages fall
  * through to the remote tier's unbounded band instead of straight to
- * zswap.
+ * zswap. The remote tier's capacity is one lease, granted by run_config.
  */
 MachineConfig
-three_tier_config(std::uint64_t nvm_pages, std::uint64_t remote_pages)
+three_tier_config(std::uint64_t nvm_pages)
 {
     MachineConfig config = base_config();
     TierConfig remote;
     remote.kind = TierKind::kRemote;
-    remote.remote.capacity_pages = remote_pages;
     remote.band_lo = 1.0;
     remote.band_hi = 0.0;
     TierConfig nvm;
@@ -83,9 +90,12 @@ three_tier_config(std::uint64_t nvm_pages, std::uint64_t remote_pages)
 }
 
 Outcome
-run_config(const MachineConfig &config, std::uint64_t seed)
+run_config(const MachineConfig &config, std::uint64_t remote_pages,
+           std::uint64_t seed)
 {
     Machine machine(0, config, seed);
+    if (remote_pages > 0)
+        machine.remote_tier()->grant_lease(0, remote_pages);
 
     FleetMix mix = typical_fleet_mix();
     Rng rng(seed + 1);
@@ -150,20 +160,20 @@ main()
     struct Case
     {
         MachineConfig config;
+        std::uint64_t remote_pages;
         const char *label;
     };
     const Case cases[] = {
-        {legacy_nvm_config(0), "zswap only (paper)"},
-        {legacy_nvm_config(2048), "+ NVM 8 MiB"},
-        {legacy_nvm_config(8192), "+ NVM 32 MiB"},
-        {legacy_nvm_config(32768), "+ NVM 128 MiB (overprovisioned)"},
-        {three_tier_config(2048, 65536),
+        {nvm_config(0), 0, "zswap only (paper)"},
+        {nvm_config(2048), 0, "+ NVM 8 MiB"},
+        {nvm_config(8192), 0, "+ NVM 32 MiB"},
+        {nvm_config(32768), 0, "+ NVM 128 MiB (overprovisioned)"},
+        {three_tier_config(2048), 65536,
          "3-tier: NVM 8 MiB + remote 256 MiB"},
     };
     for (const Case &c : cases) {
-        Outcome outcome = run_config(c.config, 41);
-        bool has_deep =
-            c.config.nvm.capacity_pages > 0 || !c.config.tiers.empty();
+        Outcome outcome = run_config(c.config, c.remote_pages, 41);
+        bool has_deep = !c.config.tiers.empty();
         table.add_row(
             {c.label, fmt_percent(outcome.coverage),
              fmt_percent(outcome.nvm_share),

@@ -5,12 +5,13 @@
  *
  * Three fleets run the same workload and machine fault plane:
  *
- *   - static donors: the legacy remote tier -- fixed capacity carved
- *     out of anonymous donor machines; a donor failure invalidates
- *     stored pages and kills the borrowing jobs outright.
- *   - leases: the same remote capacity held as revocable broker
- *     leases; donor crashes still kill, but capacity arrives and
- *     leaves through the grant/revoke/drain control plane.
+ *   - permanent leases: a static donor pool -- leases that never
+ *     expire from donors that keep no reserve, so capacity never
+ *     goes back; a donor failure invalidates stored pages and kills
+ *     the borrowing jobs outright.
+ *   - leases: the same remote tier on revocable broker leases; donor
+ *     crashes still kill, but capacity arrives and leaves through the
+ *     grant/revoke/drain control plane.
  *   - leases under donor pressure: donors run hot (high cluster
  *     utilization, larger reserve), so the broker constantly revokes
  *     for donor relief -- the case static capacity cannot express at
@@ -44,7 +45,7 @@ struct Outcome
 
 enum class Variant
 {
-    kStaticDonors,
+    kPermanentLeases,
     kLeases,
     kLeasesUnderPressure,
 };
@@ -61,7 +62,11 @@ variant_fleet(Variant variant, std::uint64_t seed)
     // at 32768 pages) with room to spare, or populate and reschedule
     // starve and the fleet decays to empty.
     config.cluster.machine.dram_pages = 64 * 1024;
-    config.cluster.machine.tier_breaker_enabled = true;
+    TierConfig remote;
+    remote.kind = TierKind::kRemote;
+    remote.band_hi = 4.0;
+    remote.breaker_enabled = true;
+    config.cluster.machine.tiers = {remote};
 
     // The same machine fault plane everywhere: donor crashes are the
     // failure-domain cost both designs pay.
@@ -69,15 +74,11 @@ variant_fleet(Variant variant, std::uint64_t seed)
     fault.enabled = true;
     fault.donor_failure_prob = 0.005;
 
-    if (variant == Variant::kStaticDonors) {
-        config.cluster.machine.remote.capacity_pages = 1ull << 18;
-        return config;
-    }
-
     MemPoolParams &pool = config.cluster.pool;
-    pool.enabled = true;
-    pool.lease_pages = 2048;
-    pool.max_leases_per_borrower = 4;
+    pool = permanent_lease_pool(2048, 4);
+    if (variant == Variant::kPermanentLeases)
+        return config;
+
     pool.lease_term_periods = 30;
     pool.grace_periods = 3;
     pool.drain_pages_per_period = 1024;
@@ -135,7 +136,8 @@ main()
         const char *key;
     };
     const Case cases[] = {
-        {Variant::kStaticDonors, "static donors", "static_donors"},
+        {Variant::kPermanentLeases, "permanent leases",
+         "permanent_leases"},
         {Variant::kLeases, "leases", "leases"},
         {Variant::kLeasesUnderPressure, "leases + donor pressure",
          "leases_donor_pressure"},
@@ -162,7 +164,7 @@ main()
     table.print(std::cout);
 
     std::cout << "\nexpected: all three pay for actual donor crashes; "
-                 "only the static tier has no donor-relief story, "
+                 "only permanent leases have no donor-relief story, "
                  "while the pressured lease market sustains heavy "
                  "revocation traffic with few or no grace-expiry "
                  "kills.\n";

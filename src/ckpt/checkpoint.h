@@ -42,17 +42,20 @@ namespace sdfm {
 /** "SDFMCKPT", read as a little-endian u64. */
 inline constexpr std::uint64_t kCkptMagic = 0x54504B434D464453ULL;
 
-/** Wire-format version this build writes and accepts. Version 4:
+/** Wire-format version this build writes and accepts. Version 5:
+ *  the remote tier has one (lease-slot) layout without a donor
+ *  cursor, and the config fingerprint lost the single-tier machine
+ *  fields and the remote tier's static-capacity params. (Version 4:
  *  the metric-registry blobs left the machine, "pool.NNNN" and
  *  "rollout" sections; telemetry-only counters, histograms and
  *  sampled levels ride in the subsystem stats they belong to.
- *  (Version 3: config-rollout fault kinds grew the FaultInjector
+ *  Version 3: config-rollout fault kinds grew the FaultInjector
  *  stats block, the node agent carries a config epoch, and
  *  rollout-supervised fleets add a "rollout" section. Version 2:
  *  memory-pooling fault kinds grew the per-machine FaultInjector
  *  stats block, and pooled fleets added "pool.NNNN" lease
  *  sections.) */
-inline constexpr std::uint32_t kCkptFormatVersion = 4;
+inline constexpr std::uint32_t kCkptFormatVersion = 5;
 
 /** Typed outcome of checkpoint container and restore operations. */
 enum class CkptStatus : std::uint8_t

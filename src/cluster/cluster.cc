@@ -15,26 +15,17 @@ Cluster::Cluster(std::uint32_t cluster_id, const ClusterConfig &config,
 {
     SDFM_ASSERT(config_.num_machines > 0);
     SDFM_ASSERT(!config_.mix.profiles.empty());
-    if (config_.pool.enabled) {
-        // The pooled flag rides on the remote-tier config, set before
-        // the machines are built: legacy single-tier configs grow a
-        // lease-backed remote tier; explicit stacks must already
-        // contain a kRemote tier to back the leases.
-        if (config_.machine.tiers.empty()) {
-            SDFM_ASSERT(config_.machine.nvm.capacity_pages == 0);
-            config_.machine.remote.pooled = true;
-        } else {
-            bool found = false;
-            for (TierConfig &tc : config_.machine.tiers) {
-                if (tc.kind == TierKind::kRemote) {
-                    tc.remote.pooled = true;
-                    found = true;
-                    break;
-                }
-            }
-            SDFM_ASSERT(found);
-        }
-    }
+    // The broker is the remote tier's only source of capacity, and it
+    // feeds the shallowest remote tier alone.
+    auto remote_tiers = std::count_if(
+        config_.machine.tiers.begin(), config_.machine.tiers.end(),
+        [](const TierConfig &tc) { return tc.kind == TierKind::kRemote; });
+    SDFM_ASSERT(remote_tiers <= 1 &&
+                "machine.tiers holds at most one kRemote tier");
+    SDFM_ASSERT((remote_tiers == 0 || config_.pool.enabled) &&
+                "a kRemote tier in machine.tiers needs pool.enabled");
+    SDFM_ASSERT((remote_tiers == 1 || !config_.pool.enabled) &&
+                "pool.enabled needs a kRemote tier in machine.tiers");
     machines_.reserve(config_.num_machines);
     for (std::uint32_t m = 0; m < config_.num_machines; ++m) {
         MachineConfig machine_config = config_.machine;
@@ -48,7 +39,8 @@ Cluster::Cluster(std::uint32_t cluster_id, const ClusterConfig &config,
             machines_.back()->set_trace_sink(&trace_log_);
     }
     // Broker seed drawn only when pooling is on, after the machine
-    // loop, so pooling-off RNG streams are untouched.
+    // loop, so the RNG streams of fleets without a remote tier do not
+    // depend on the pool.
     if (config_.pool.enabled) {
         broker_ = std::make_unique<MemoryBroker>(
             config_.pool, rng_.next_u64(), config_.num_machines);
@@ -276,11 +268,11 @@ Cluster::telemetry_snapshot() const
 
 DonorFailureResult
 Cluster::inject_donor_failure(SimTime now, std::uint32_t machine_index,
-                              std::uint32_t donor)
+                              std::uint32_t lease_id)
 {
     SDFM_ASSERT(machine_index < machines_.size());
     DonorFailureResult result;
-    result.killed = machines_[machine_index]->fail_donor(donor);
+    result.killed = machines_[machine_index]->fail_donor(lease_id);
     for (std::size_t i = 0; i < result.killed.size(); ++i) {
         if (schedule_new_job(now))
             ++result.rescheduled;

@@ -69,12 +69,11 @@ struct ClusterConfig
     bool collect_traces = true;
 
     /**
-     * Cluster memory pooling: when enabled, the cluster owns a
-     * MemoryBroker, every machine's remote tier becomes lease-backed
-     * (the pooled flag is set on the remote tier config before the
-     * machines are built), and the broker steps before the machines
-     * each period. Off by default -- trajectories bit-identical to
-     * pre-pooling builds.
+     * Cluster memory pooling: the cluster owns a MemoryBroker that
+     * grants every machine's remote tier its lease slots, stepping
+     * before the machines each period. Enabled exactly when
+     * machine.tiers holds a kRemote tier, and then it holds only
+     * one; the constructor rejects every other combination.
      */
     MemPoolParams pool;
 };
@@ -165,15 +164,17 @@ class Cluster
     void deploy_slo(const SloConfig &slo);
 
     /**
-     * Fault plane: fail remote-tier donor @p donor of machine
-     * @p machine_index right now. Victim jobs are killed (the
-     * failure-domain expansion of Section 2.1) and restarted fresh on
-     * machines with capacity, exactly as step()'s eviction path does.
-     * A no-op (empty result) when the machine has no remote tier.
+     * Fault plane: crash the donor behind remote-tier lease
+     * @p lease_id of machine @p machine_index right now. Victim jobs
+     * are killed (the failure-domain expansion of Section 2.1) and
+     * restarted fresh on machines with capacity, exactly as step()'s
+     * eviction path does; the broker reconciles the lease on its next
+     * step. A no-op (empty result) when the machine holds no such
+     * lease.
      */
     DonorFailureResult inject_donor_failure(SimTime now,
                                             std::uint32_t machine_index,
-                                            std::uint32_t donor);
+                                            std::uint32_t lease_id);
 
     /**
      * Whole-cluster consistency check (SDFM_INVARIANT tier): every

@@ -3,10 +3,11 @@
  * A revocable memory lease: the unit of account of the cluster
  * memory market (MemoryBroker).
  *
- * Instead of the static donor capacity the paper describes (and
- * rejects) in Section 2.1, a borrower machine holds remote capacity
- * as leases granted by the broker against a specific donor machine's
- * free DRAM. Every lease walks one state machine:
+ * A borrower machine holds all of its remote capacity as leases
+ * granted by the broker against a specific donor machine's free DRAM;
+ * the static donor capacity the paper describes (and rejects) in
+ * Section 2.1 is a lease that is never revoked. Every lease walks one
+ * state machine:
  *
  *     kGranted ---------> kActive ----------> kRevoking
  *        |   (delivered)      (revocation /       |

@@ -1,12 +1,47 @@
 #include "cluster/mem_pool.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/digest.h"
 #include "util/invariant.h"
 #include "util/logging.h"
 
 namespace sdfm {
+
+namespace {
+
+/** @p periods control periods after @p now, saturating at the end of
+ *  time: a lease whose term runs past it never expires. */
+SimTime
+deadline_after(SimTime now, std::uint64_t periods, SimTime period)
+{
+    constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+    SimTime term = 0;
+    SimTime deadline = 0;
+    if (periods > static_cast<std::uint64_t>(kNever) ||
+        __builtin_mul_overflow(static_cast<SimTime>(periods), period,
+                               &term) ||
+        __builtin_add_overflow(now, term, &deadline)) {
+        return kNever;
+    }
+    return deadline;
+}
+
+}  // namespace
+
+MemPoolParams
+permanent_lease_pool(std::uint64_t lease_pages,
+                     std::uint32_t leases_per_borrower)
+{
+    MemPoolParams params;
+    params.enabled = true;
+    params.lease_pages = lease_pages;
+    params.max_leases_per_borrower = leases_per_borrower;
+    params.lease_term_periods = std::numeric_limits<std::uint64_t>::max();
+    params.donor_reserve_frac = 0.0;
+    return params;
+}
 
 MemoryBroker::MemoryBroker(const MemPoolParams &params,
                            std::uint64_t seed,
@@ -48,7 +83,7 @@ MemoryBroker::attempt_revocation(
     lease.revoke_pending = false;
     lease.transition(LeaseState::kRevoking);
     lease.grace_remaining = params_.grace_periods;
-    RemoteTier *remote = machines[lease.borrower]->pooled_remote();
+    RemoteTier *remote = machines[lease.borrower]->remote_tier();
     SDFM_ASSERT(remote != nullptr);
     remote->begin_drain(lease.id);
     ++stats_.revocations;
@@ -110,7 +145,7 @@ MemoryBroker::step(SimTime now, SimTime period,
     // terminates. Runs even while stalled (it is local bookkeeping,
     // not a control-plane message).
     for (auto &machine : machines) {
-        RemoteTier *remote = machine->pooled_remote();
+        RemoteTier *remote = machine->remote_tier();
         if (remote == nullptr)
             continue;
         for (std::uint32_t id : remote->take_dead_leases()) {
@@ -149,19 +184,21 @@ MemoryBroker::step(SimTime now, SimTime period,
                     lease.transition(LeaseState::kRevoked);
                     ++stats_.grants_aborted;
                 } else {
+                    // Doubles per retry up to 64x; an uncapped shift
+                    // is undefined past 63 retries.
+                    std::uint32_t shift =
+                        std::min(lease.grant_retries - 1, 6U);
                     lease.grant_backoff_remaining =
-                        params_.grant_backoff_base
-                        << (lease.grant_retries - 1);
+                        params_.grant_backoff_base << shift;
                 }
                 continue;
             }
             RemoteTier *remote =
-                machines[lease.borrower]->pooled_remote();
+                machines[lease.borrower]->remote_tier();
             SDFM_ASSERT(remote != nullptr);
             remote->grant_lease(lease.id, lease.pages);
             lease.deadline =
-                now + static_cast<SimTime>(params_.lease_term_periods) *
-                          period;
+                deadline_after(now, params_.lease_term_periods, period);
             lease.transition(LeaseState::kActive);
             ++stats_.leases_granted;
         }
@@ -221,7 +258,7 @@ MemoryBroker::step(SimTime now, SimTime period,
         if (lease.state != LeaseState::kRevoking)
             continue;
         Machine &borrower = *machines[lease.borrower];
-        RemoteTier *remote = borrower.pooled_remote();
+        RemoteTier *remote = borrower.remote_tier();
         SDFM_ASSERT(remote != nullptr);
         if (remote->lease_used(id) > 0) {
             std::uint64_t drained = borrower.drain_lease(
@@ -253,7 +290,7 @@ MemoryBroker::step(SimTime now, SimTime period,
         // index on ties. Machines whose breaker is open sit the
         // market out on both sides.
         for (std::uint32_t b = 0; b < num_machines_; ++b) {
-            RemoteTier *remote = machines[b]->pooled_remote();
+            RemoteTier *remote = machines[b]->remote_tier();
             if (remote == nullptr)
                 continue;
             if (params_.breaker_enabled &&
@@ -302,8 +339,8 @@ MemoryBroker::step(SimTime now, SimTime period,
     }
 
     // 10. Per-machine control-plane breakers. While a machine's
-    // breaker is open its lease-backed tier is gated to zero budget
-    // and demotions fall through the route table to shallower tiers.
+    // breaker is open its remote tier is gated to zero budget and
+    // demotions fall through the route table to shallower tiers.
     std::uint64_t open_breakers = 0;
     if (params_.breaker_enabled) {
         for (std::uint32_t i = 0; i < num_machines_; ++i) {
@@ -510,7 +547,7 @@ MemoryBroker::ckpt_resolve(
     // slot -- unless its donor died machine-side after the last
     // broker step (the unreconciled dead-lease window).
     for (std::uint32_t b = 0; b < num_machines_; ++b) {
-        RemoteTier *remote = machines[b]->pooled_remote();
+        RemoteTier *remote = machines[b]->remote_tier();
         std::uint64_t slots_seen = 0;
         if (remote != nullptr) {
             for (const auto &slot : remote->lease_slots()) {

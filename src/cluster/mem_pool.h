@@ -4,22 +4,24 @@
  *
  * Section 2.1 of the paper rejects remote memory partly because a
  * donor machine's failure expands every borrower's failure domain.
- * This module models the mitigation the paper alludes to but does not
- * build: instead of static donor capacity, borrower machines hold
- * *revocable leases* granted by a per-cluster MemoryBroker against
- * specific donors' free DRAM. Donors keep a reserve; when their own
- * demand grows, the broker revokes leases (newest first) and the
- * borrower drains pages back to its local tiers within a bounded
- * grace window. Only an actual donor crash -- or a borrower that
- * cannot drain in time -- still kills jobs.
+ * Every remote tier in a cluster gets its capacity here: borrower
+ * machines hold leases granted by a per-cluster MemoryBroker against
+ * specific donors' free DRAM. A static donor pool is the degenerate
+ * market -- a lease term longer than the run and no donor reserve, so
+ * leases are never revoked. The mitigation the paper alludes to but
+ * does not build is the revocable market: donors keep a reserve; when
+ * their own demand grows, the broker revokes leases (newest first)
+ * and the borrower drains pages back to its local tiers within a
+ * bounded grace window. Only an actual donor crash -- or a borrower
+ * that cannot drain in time -- still kills jobs.
  *
  * The broker's control plane is failure-modelled end to end: grant
  * deliveries and revocation messages can be lost (bounded retry with
  * exponential backoff; redelivery), and the broker itself can stall.
  * Each machine's view of the control plane feeds a per-machine
- * circuit breaker; while a machine's breaker is open its lease-backed
- * remote tier is gated to zero budget and demotions fall through the
- * existing route table to shallower tiers (NVM/zswap). Everything is
+ * circuit breaker; while a machine's breaker is open its remote tier
+ * is gated to zero budget and demotions fall through the existing
+ * route table to shallower tiers (NVM/zswap). Everything is
  * deterministic: the broker steps machines in index order, leases in
  * id order, and draws faults from its own seeded injector, so serial
  * and parallel fleet stepping agree digest for digest.
@@ -45,8 +47,8 @@ namespace sdfm {
 struct MemPoolParams
 {
     /** Master switch; false (the default) leaves the cluster without
-     *  a broker and every trajectory bit-identical to pre-pooling
-     *  builds. */
+     *  a broker. Required exactly when the machines have a remote
+     *  tier: the broker is its only source of capacity. */
     bool enabled = false;
 
     /** Pages per lease (the market's allocation unit). */
@@ -55,7 +57,8 @@ struct MemPoolParams
     /** Concurrent (non-terminal) leases one borrower may hold. */
     std::uint32_t max_leases_per_borrower = 4;
 
-    /** Natural lease term, in control periods from delivery. */
+    /** Natural lease term, in control periods from delivery. A term
+     *  that ends past the representable end of time never expires. */
     std::uint64_t lease_term_periods = 60;
 
     /** Grace periods a borrower gets to drain a revoked lease before
@@ -66,14 +69,14 @@ struct MemPoolParams
     std::uint64_t drain_pages_per_period = 2048;
 
     /** Fraction of DRAM a donor keeps free; dipping below it is the
-     *  donor-pressure signal that triggers revocation. */
+     *  donor-pressure signal that triggers revocation (0: never). */
     double donor_reserve_frac = 0.10;
 
     /** Lost grant deliveries tolerated before the grant is aborted. */
     std::uint32_t max_grant_retries = 3;
 
     /** Base of the exponential grant-redelivery backoff, in periods
-     *  (retry k waits base << (k-1)). */
+     *  (retry k waits base << min(k-1, 6)). */
     std::uint64_t grant_backoff_base = 1;
 
     /** Per-machine control-plane breaker over broker reachability. */
@@ -85,6 +88,14 @@ struct MemPoolParams
      *  kinds. */
     FaultConfig fault;
 };
+
+/**
+ * A static donor pool as a lease market: leases of @p lease_pages
+ * whose term outlasts any run, from donors that keep no reserve, so
+ * the broker never revokes one and only a donor crash takes one back.
+ */
+MemPoolParams permanent_lease_pool(std::uint64_t lease_pages,
+                                   std::uint32_t leases_per_borrower);
 
 /** Broker lifetime counters; the last two are the levels sampled at
  *  the end of the last broker step (telemetry only, not digested). */

@@ -90,14 +90,11 @@ save_nvm_params(Serializer &s, const NvmTierParams &p)
 void
 save_remote_params(Serializer &s, const RemoteTierParams &p)
 {
-    s.put_u64(p.capacity_pages);
-    s.put_u32(p.num_donors);
     s.put_double(p.read_latency_us);
     s.put_double(p.jitter_sigma);
     s.put_double(p.crypto_cycles_per_page);
     s.put_u32(p.max_read_retries);
     s.put_double(p.retry_backoff_base_us);
-    s.put_bool(p.pooled);
 }
 
 void
@@ -117,17 +114,9 @@ save_machine_config(Serializer &s, const MachineConfig &m)
     s.put_u32(m.kstaled.scan_stride);
     s.put_double(m.kreclaimd.cycles_per_page);
     s.put_double(m.kreclaimd.split_cycles);
-    save_nvm_params(s, m.nvm);
-    save_remote_params(s, m.remote);
-    s.put_double(m.remote_donor_failures_per_hour);
-    s.put_double(m.nvm_deep_threshold_factor);
     save_fault_config(s, m.fault);
-    s.put_bool(m.tier_breaker_enabled);
-    save_breaker_params(s, m.tier_breaker);
     s.put_bool(m.slo_breaker_enabled);
     save_breaker_params(s, m.slo_breaker);
-    // Explicit tier stack (empty for legacy configurations; the count
-    // keeps old and new fingerprints from colliding).
     s.put_u64(m.tiers.size());
     for (const TierConfig &t : m.tiers) {
         s.put_u8(static_cast<std::uint8_t>(t.kind));

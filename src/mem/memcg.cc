@@ -285,8 +285,8 @@ Memcg::state_digest() const
     }
     pages_.state_digest(d);
     // Per-page deep-tier indices, only once a page has lived beyond
-    // stack index 1 (the array is lazily allocated, so legacy two-tier
-    // trajectories mix nothing here and their digests are unchanged).
+    // stack index 1 (the array is lazily allocated, so one-tier
+    // stacks mix nothing here and their digests are unchanged).
     if (!page_tier_.empty()) {
         for (PageId p = 0; p < num_pages(); ++p) {
             if (pages_.test(p, kPageInFarTier) && page_tier_[p] > 1) {

@@ -11,7 +11,6 @@ RemoteTier::RemoteTier(const RemoteTierParams &params,
                        std::uint64_t rng_seed)
     : params_(params), rng_(rng_seed)
 {
-    SDFM_ASSERT(params_.num_donors > 0);
 }
 
 std::uint64_t
@@ -27,14 +26,11 @@ RemoteTier::key(const Memcg &cg, PageId p)
 bool
 RemoteTier::has_space() const
 {
-    if (params_.pooled) {
-        for (const auto &[id, slot] : lease_slots_) {
-            if (!slot.draining && slot.used < slot.capacity)
-                return true;
-        }
-        return false;
+    for (const auto &[id, slot] : lease_slots_) {
+        if (!slot.draining && slot.used < slot.capacity)
+            return true;
     }
-    return used_pages_ < params_.capacity_pages;
+    return false;
 }
 
 std::uint32_t
@@ -64,26 +60,15 @@ RemoteTier::store(Memcg &cg, PageId p)
     SDFM_ASSERT(!cg.page_test(p, kPageInZswap) &&
                 !cg.page_test(p, kPageInFarTier));
     SDFM_ASSERT(!cg.page_test(p, kPageUnevictable));
-    std::uint32_t donor;
-    if (params_.pooled) {
-        // The placement's donor field carries the lease id.
-        donor = pick_store_slot();
-        if (donor == ~0u) {
-            ++stats_.rejected_full;
-            return false;
-        }
-        ++lease_slots_[donor].used;
-        slot_cursor_ = donor + 1;
-    } else {
-        if (!has_space()) {
-            ++stats_.rejected_full;
-            return false;
-        }
-        donor = next_donor_;
-        next_donor_ = (next_donor_ + 1) % params_.num_donors;
+    std::uint32_t lease = pick_store_slot();
+    if (lease == ~0u) {
+        ++stats_.rejected_full;
+        return false;
     }
+    ++lease_slots_[lease].used;
+    slot_cursor_ = lease + 1;
     auto [it, inserted] =
-        placements_.emplace(key(cg, p), Placement{&cg, p, donor});
+        placements_.emplace(key(cg, p), Placement{&cg, p, lease});
     SDFM_ASSERT(inserted);
     ++used_pages_;
     cg.note_stored_in_tier(p, stack_index());
@@ -101,11 +86,9 @@ RemoteTier::load(Memcg &cg, PageId p)
     SDFM_ASSERT(cg.page_test(p, kPageInFarTier));
     auto it = placements_.find(key(cg, p));
     SDFM_ASSERT(it != placements_.end());
-    if (params_.pooled) {
-        auto slot = lease_slots_.find(it->second.donor);
-        SDFM_ASSERT(slot != lease_slots_.end() && slot->second.used > 0);
-        --slot->second.used;
-    }
+    auto slot = lease_slots_.find(it->second.lease);
+    SDFM_ASSERT(slot != lease_slots_.end() && slot->second.used > 0);
+    --slot->second.used;
     placements_.erase(it);
     SDFM_ASSERT(used_pages_ > 0);
     --used_pages_;
@@ -128,8 +111,11 @@ RemoteTier::load(Memcg &cg, PageId p)
             }
             ++failures;
             ++stats_.read_retries;
+            // The backoff doubles per attempt up to 64x; an uncapped
+            // shift is undefined past 63 retries.
+            std::uint32_t shift = std::min(failures - 1, 6U);
             latency += params_.retry_backoff_base_us *
-                           static_cast<double>(1ULL << (failures - 1)) +
+                           static_cast<double>(1ULL << shift) +
                        params_.read_latency_us *
                            rng_.next_lognormal(0.0, params_.jitter_sigma);
         }
@@ -150,11 +136,9 @@ RemoteTier::drop(Memcg &cg, PageId p)
     SDFM_ASSERT(cg.page_test(p, kPageInFarTier));
     auto it = placements_.find(key(cg, p));
     SDFM_ASSERT(it != placements_.end());
-    if (params_.pooled) {
-        auto slot = lease_slots_.find(it->second.donor);
-        SDFM_ASSERT(slot != lease_slots_.end() && slot->second.used > 0);
-        --slot->second.used;
-    }
+    auto slot = lease_slots_.find(it->second.lease);
+    SDFM_ASSERT(slot != lease_slots_.end() && slot->second.used > 0);
+    --slot->second.used;
     placements_.erase(it);
     SDFM_ASSERT(used_pages_ > 0);
     --used_pages_;
@@ -169,7 +153,7 @@ RemoteTier::drop_all(Memcg &cg)
 }
 
 std::vector<JobId>
-RemoteTier::fail_placement_group(std::uint32_t group)
+RemoteTier::lose_lease_pages(std::uint32_t lease_id)
 {
     std::set<JobId> affected;
     std::vector<std::uint64_t> lost_keys;
@@ -177,7 +161,7 @@ RemoteTier::fail_placement_group(std::uint32_t group)
     // and `affected` is an ordered set, so iteration order of the
     // placement map cannot leak into the failure trajectory.
     for (const auto &[k, placement] : placements_) {
-        if (placement.donor != group)
+        if (placement.lease != lease_id)
             continue;
         lost_keys.push_back(k);
         affected.insert(placement.cg->id());
@@ -197,39 +181,19 @@ RemoteTier::fail_placement_group(std::uint32_t group)
 }
 
 std::vector<JobId>
-RemoteTier::fail_donor(std::uint32_t donor)
+RemoteTier::fail_donor(std::uint32_t lease_id)
 {
-    if (params_.pooled) {
-        // Pooled mode: the failing "donor" is a lease; its crash is
-        // reconciled by the broker on its next step.
-        auto it = lease_slots_.find(donor);
-        if (it == lease_slots_.end())
-            return {};
-        ++stats_.donor_failures;
-        std::vector<JobId> victims = fail_placement_group(donor);
-        it->second.used = 0;
-        slot_capacity_total_ -= it->second.capacity;
-        lease_slots_.erase(it);
-        dead_leases_.push_back(donor);
-        return victims;
-    }
+    if (lease_slots_.find(lease_id) == lease_slots_.end())
+        return {};
     ++stats_.donor_failures;
-    return fail_placement_group(donor);
-}
-
-std::vector<JobId>
-RemoteTier::fail_random_donor()
-{
-    if (params_.pooled)
-        return fail_random_lease(rng_);
-    return fail_donor(static_cast<std::uint32_t>(
-        rng_.next_below(params_.num_donors)));
+    std::vector<JobId> victims = fail_lease(lease_id);
+    dead_leases_.push_back(lease_id);
+    return victims;
 }
 
 std::vector<JobId>
 RemoteTier::fail_random_lease(Rng &rng)
 {
-    SDFM_ASSERT(params_.pooled);
     if (lease_slots_.empty())
         return {};
     // Victim draw over the sorted lease ids (std::map iterates in key
@@ -243,11 +207,9 @@ RemoteTier::fail_random_lease(Rng &rng)
 std::vector<JobId>
 RemoteTier::fail_lease(std::uint32_t lease_id)
 {
-    SDFM_ASSERT(params_.pooled);
     auto it = lease_slots_.find(lease_id);
     SDFM_ASSERT(it != lease_slots_.end());
-    std::vector<JobId> victims = fail_placement_group(lease_id);
-    it->second.used = 0;
+    std::vector<JobId> victims = lose_lease_pages(lease_id);
     slot_capacity_total_ -= it->second.capacity;
     lease_slots_.erase(it);
     return victims;
@@ -256,7 +218,7 @@ RemoteTier::fail_lease(std::uint32_t lease_id)
 void
 RemoteTier::grant_lease(std::uint32_t lease_id, std::uint64_t pages)
 {
-    SDFM_ASSERT(params_.pooled && pages > 0);
+    SDFM_ASSERT(pages > 0);
     auto [it, inserted] =
         lease_slots_.emplace(lease_id, LeaseSlot{pages, 0, false});
     SDFM_ASSERT(inserted);
@@ -297,7 +259,7 @@ RemoteTier::lease_page_refs(std::uint32_t lease_id,
     // sdfm-lint: allow(unordered-iter) -- keys are sorted below, so
     // the drain order is independent of hash-map iteration order.
     for (const auto &[k, placement] : placements_) {
-        if (placement.donor == lease_id)
+        if (placement.lease == lease_id)
             keys.push_back(k);
     }
     std::sort(keys.begin(), keys.end());
@@ -357,32 +319,25 @@ RemoteTier::ckpt_save(Serializer &s) const
     s.put_u64(stats_.read_retries);
     s.put_u64(stats_.reads_exhausted);
     s.put_u64(used_pages_);
-    s.put_u32(next_donor_);
     s.put_rng(rng_);
     s.put_double(transient_read_failure_prob_);
-
-    // Pooled extras ride between the scalar block and the placement
-    // rows; the flag comes from the config, so both sides agree on
-    // the layout without a wire discriminator.
-    if (params_.pooled) {
-        s.put_u32(slot_cursor_);
-        s.put_u64(lease_slots_.size());
-        for (const auto &[id, slot] : lease_slots_) {
-            s.put_u32(id);
-            s.put_u64(slot.capacity);
-            s.put_bool(slot.draining);
-        }
-        s.put_u64(dead_leases_.size());
-        for (std::uint32_t id : dead_leases_)
-            s.put_u32(id);
+    s.put_u32(slot_cursor_);
+    s.put_u64(lease_slots_.size());
+    for (const auto &[id, slot] : lease_slots_) {
+        s.put_u32(id);
+        s.put_u64(slot.capacity);
+        s.put_bool(slot.draining);
     }
+    s.put_u64(dead_leases_.size());
+    for (std::uint32_t id : dead_leases_)
+        s.put_u32(id);
 
     struct Row
     {
         std::uint64_t key;
         JobId job;
         PageId page;
-        std::uint32_t donor;
+        std::uint32_t lease;
     };
     std::vector<Row> rows;
     rows.reserve(placements_.size());
@@ -391,7 +346,7 @@ RemoteTier::ckpt_save(Serializer &s) const
     // are independent of hash-map iteration order.
     for (const auto &[k, placement] : placements_) {
         rows.push_back(
-            {k, placement.cg->id(), placement.page, placement.donor});
+            {k, placement.cg->id(), placement.page, placement.lease});
     }
     std::sort(rows.begin(), rows.end(),
               [](const Row &a, const Row &b) { return a.key < b.key; });
@@ -399,7 +354,7 @@ RemoteTier::ckpt_save(Serializer &s) const
     for (const Row &row : rows) {
         s.put_u64(row.job);
         s.put_u32(row.page);
-        s.put_u32(row.donor);
+        s.put_u32(row.lease);
     }
 }
 
@@ -417,57 +372,43 @@ RemoteTier::ckpt_load(Deserializer &d)
     stats_.read_retries = d.get_u64();
     stats_.reads_exhausted = d.get_u64();
     used_pages_ = d.get_u64();
-    next_donor_ = d.get_u32();
     d.get_rng(rng_);
     transient_read_failure_prob_ = d.get_double();
 
     lease_slots_.clear();
     slot_capacity_total_ = 0;
     dead_leases_.clear();
-    if (params_.pooled) {
-        slot_cursor_ = d.get_u32();
-        std::size_t num_slots = d.get_size(d.remaining() / 13, 13);
-        for (std::size_t i = 0; i < num_slots; ++i) {
-            std::uint32_t id = d.get_u32();
-            LeaseSlot slot;
-            slot.capacity = d.get_u64();
-            slot.draining = d.get_bool();
-            if (!d.ok() || slot.capacity == 0 ||
-                !lease_slots_.emplace(id, slot).second) {
-                return false;
-            }
-            slot_capacity_total_ += slot.capacity;
+    slot_cursor_ = d.get_u32();
+    std::size_t num_slots = d.get_size(d.remaining() / 13, 13);
+    for (std::size_t i = 0; i < num_slots; ++i) {
+        std::uint32_t id = d.get_u32();
+        LeaseSlot slot;
+        slot.capacity = d.get_u64();
+        slot.draining = d.get_bool();
+        if (!d.ok() || slot.capacity == 0 ||
+            !lease_slots_.emplace(id, slot).second) {
+            return false;
         }
-        std::size_t num_dead = d.get_size(d.remaining() / 4, 4);
-        for (std::size_t i = 0; i < num_dead; ++i)
-            dead_leases_.push_back(d.get_u32());
+        slot_capacity_total_ += slot.capacity;
     }
+    std::size_t num_dead = d.get_size(d.remaining() / 4, 4);
+    for (std::size_t i = 0; i < num_dead; ++i)
+        dead_leases_.push_back(d.get_u32());
 
     placements_.clear();
     pending_placements_.clear();
     std::size_t num = d.get_size(d.remaining() / 16, 16);
-    if (!d.ok() || num != used_pages_)
+    if (!d.ok() || num != used_pages_ || used_pages_ > slot_capacity_total_)
         return false;
-    if (params_.pooled) {
-        if (used_pages_ > slot_capacity_total_)
-            return false;
-    } else if (used_pages_ > params_.capacity_pages ||
-               next_donor_ >= params_.num_donors) {
-        return false;
-    }
     pending_placements_.reserve(num);
     for (std::size_t i = 0; i < num; ++i) {
         PendingPlacement pending;
         pending.job = d.get_u64();
         pending.page = d.get_u32();
-        pending.donor = d.get_u32();
-        if (!d.ok())
-            return false;
-        if (params_.pooled) {
-            // The donor field names a lease slot; it must exist.
-            if (lease_slots_.find(pending.donor) == lease_slots_.end())
-                return false;
-        } else if (pending.donor >= params_.num_donors) {
+        pending.lease = d.get_u32();
+        // The lease field names a lease slot; it must exist.
+        if (!d.ok() ||
+            lease_slots_.find(pending.lease) == lease_slots_.end()) {
             return false;
         }
         pending_placements_.push_back(pending);
@@ -490,32 +431,15 @@ RemoteTier::ckpt_resolve(const std::map<JobId, Memcg *> &jobs)
         }
         auto [pos, inserted] = placements_.emplace(
             key(*cg, pending.page),
-            Placement{cg, pending.page, pending.donor});
-        if (!inserted)
+            Placement{cg, pending.page, pending.lease});
+        LeaseSlot &slot = lease_slots_[pending.lease];
+        if (!inserted || slot.used == slot.capacity)
             return false;
-        if (params_.pooled) {
-            LeaseSlot &slot = lease_slots_[pending.donor];
-            if (slot.used == slot.capacity)
-                return false;
-            ++slot.used;
-        }
+        ++slot.used;
     }
     pending_placements_.clear();
     pending_placements_.shrink_to_fit();
     return true;
-}
-
-std::uint64_t
-RemoteTier::donor_pages(std::uint32_t donor) const
-{
-    std::uint64_t count = 0;
-    // sdfm-lint: allow(unordered-iter) -- pure count; the result is
-    // independent of iteration order.
-    for (const auto &[k, placement] : placements_) {
-        if (placement.donor == donor)
-            ++count;
-    }
-    return count;
 }
 
 }  // namespace sdfm

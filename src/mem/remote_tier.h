@@ -7,7 +7,8 @@
  * The paper lists three reasons this stayed out of their production
  * deployment, all modelled here:
  *   - failure-domain expansion: a donor machine's failure loses every
- *     page it hosts, killing the owning jobs (fail_donor());
+ *     page stored under its lease, killing the owning jobs
+ *     (fail_donor());
  *   - encryption: pages must be encrypted before leaving the machine,
  *     adding CPU cycles to every demotion and promotion;
  *   - tail latency: network round-trips are both slower and
@@ -31,12 +32,6 @@ namespace sdfm {
 /** Remote-memory parameters. */
 struct RemoteTierParams
 {
-    /** Total donor capacity reachable from this machine, in pages. */
-    std::uint64_t capacity_pages = 0;
-
-    /** Number of donor machines the capacity is spread across. */
-    std::uint32_t num_donors = 8;
-
     /** Mean network read (promotion) latency in microseconds. */
     double read_latency_us = 12.0;
 
@@ -49,20 +44,12 @@ struct RemoteTierParams
     /**
      * Bounded retries for a promotion read when the network path is
      * degraded (set_transient_read_failure > 0). Each attempt past
-     * the first pays retry_backoff_base_us * 2^(attempt-1) on top of
-     * the usual network latency -- exponential backoff.
+     * the first pays retry_backoff_base_us * 2^min(attempt-1, 6) on
+     * top of the usual network latency -- capped exponential
+     * backoff.
      */
     std::uint32_t max_read_retries = 3;
     double retry_backoff_base_us = 50.0;
-
-    /**
-     * Lease-backed mode (cluster memory pooling): capacity comes from
-     * revocable lease slots granted by the cluster's MemoryBroker
-     * instead of the static capacity_pages/num_donors pool. With the
-     * flag off (the default) the tier behaves exactly as before, bit
-     * for bit.
-     */
-    bool pooled = false;
 };
 
 /** Remote-tier counters. */
@@ -72,7 +59,7 @@ struct RemoteTierStats
     std::uint64_t promotions = 0;
     std::uint64_t rejected_full = 0;
     std::uint64_t donor_failures = 0;
-    std::uint64_t pages_lost = 0;  ///< pages on failed donors
+    std::uint64_t pages_lost = 0;  ///< pages under failed leases
     double read_latency_us_sum = 0.0;
     double crypto_cycles = 0.0;
 
@@ -82,7 +69,13 @@ struct RemoteTierStats
     std::uint64_t reads_exhausted = 0; ///< all retries failed
 };
 
-/** The remote-memory tier for one machine. */
+/**
+ * The remote-memory tier for one machine. Its capacity is a set of
+ * lease slots, each a share of one donor machine's DRAM: inside a
+ * cluster the MemoryBroker grants and revokes them, and a standalone
+ * machine's owner grants them directly (grant_lease). A page lives
+ * under exactly one lease, so a donor crash loses that lease's pages.
+ */
 class RemoteTier : public FarTier
 {
   public:
@@ -102,36 +95,29 @@ class RemoteTier : public FarTier
     std::uint64_t
     capacity_pages() const override
     {
-        return params_.pooled ? slot_capacity_total_
-                              : params_.capacity_pages;
+        return slot_capacity_total_;
     }
 
     /**
-     * Fail one donor machine: every page it hosts is lost. The
-     * owning jobs cannot recover those pages and must be killed --
-     * the failure-domain expansion of Section 2.1.
+     * The donor behind @p lease_id crashes: every page stored under
+     * the lease is lost and the slot is gone. The owning jobs cannot
+     * recover those pages and must be killed -- the failure-domain
+     * expansion of Section 2.1. The lease id is recorded for broker
+     * reconciliation (take_dead_leases). No-op for an unknown id.
      *
      * @return The distinct jobs that lost pages (the caller evicts
      *         them and reschedules).
      */
-    std::vector<JobId> fail_donor(std::uint32_t donor);
+    std::vector<JobId> fail_donor(std::uint32_t lease_id);
 
     /**
-     * Fail a random donor. Static mode: a uniform donor index (the
-     * historical draw, bit-for-bit). Pooled mode: a uniform pick over
-     * the live lease ids in sorted-key order (digest-stable; no draw
-     * when no leases are held), recorded for broker reconciliation.
+     * Fail a random live lease as if its donor crashed, drawing the
+     * victim from @p rng over the sorted lease ids. Empty (and no RNG
+     * draw) when no leases are held.
      */
-    std::vector<JobId> fail_random_donor();
+    std::vector<JobId> fail_random_lease(Rng &rng);
 
-    /** Pages currently hosted by a donor (static) or lease (pooled). */
-    std::uint64_t donor_pages(std::uint32_t donor) const;
-
-    // -- lease-backed mode (params().pooled) --------------------------
-
-    bool pooled() const { return params_.pooled; }
-
-    /** Install a delivered lease as an empty capacity slot. */
+    /** Install a granted lease as an empty capacity slot. */
     void grant_lease(std::uint32_t lease_id, std::uint64_t pages);
 
     /** Stop placing new pages into a lease (revocation received). */
@@ -144,21 +130,14 @@ class RemoteTier : public FarTier
     void finish_lease(std::uint32_t lease_id);
 
     /**
-     * The lease's pages are gone (donor crash or grace expiry): drop
-     * every placement it holds and remove the slot. Like fail_donor,
-     * the data is unrecoverable and the owning jobs must be killed.
+     * The lease's pages are gone (grace expiry): drop every placement
+     * it holds and remove the slot. Like fail_donor, the data is
+     * unrecoverable and the owning jobs must be killed, but the
+     * broker initiated it, so nothing is recorded for reconciliation.
      *
      * @return The distinct jobs that lost pages.
      */
     std::vector<JobId> fail_lease(std::uint32_t lease_id);
-
-    /**
-     * Fail a random live lease as if its donor crashed, drawing the
-     * victim from @p rng over the sorted lease ids. Empty (and no RNG
-     * draw) when no leases are held. Recorded in the dead-lease list
-     * for broker reconciliation.
-     */
-    std::vector<JobId> fail_random_lease(Rng &rng);
 
     /**
      * Pages under @p lease_id in ascending placement-key order, at
@@ -168,9 +147,9 @@ class RemoteTier : public FarTier
     lease_page_refs(std::uint32_t lease_id, std::uint64_t limit) const;
 
     /**
-     * Lease ids destroyed machine-side (donor-crash faults) since the
-     * last call; the broker consumes these to mark the leases revoked
-     * and return the donor pages.
+     * Lease ids destroyed machine-side (donor crashes) since the last
+     * call; the broker consumes these to mark the leases revoked and
+     * return the donor pages.
      */
     std::vector<std::uint32_t> take_dead_leases();
 
@@ -214,11 +193,12 @@ class RemoteTier : public FarTier
     const RemoteTierStats &stats() const { return stats_; }
 
     /**
-     * Checkpointable: snapshots counters, the round-robin donor
-     * cursor, the degradation knob, the RNG, and every placement as
-     * (job id, page, donor) in ascending key order. Placements hold
-     * raw memcg pointers, so ckpt_load() only parses; ckpt_resolve()
-     * rebuilds the map once the machine's jobs exist again.
+     * Checkpointable: snapshots counters, the degradation knob, the
+     * RNG, the lease slots with their round-robin cursor, the pending
+     * dead-lease list, and every placement as (job id, page, lease)
+     * in ascending key order. Placements hold raw memcg pointers, so
+     * ckpt_load() only parses; ckpt_resolve() rebuilds the map once
+     * the machine's jobs exist again.
      */
     void ckpt_save(Serializer &s) const override;
     bool ckpt_load(Deserializer &d) override;
@@ -229,30 +209,29 @@ class RemoteTier : public FarTier
     {
         Memcg *cg;
         PageId page;
-        std::uint32_t donor;
+        std::uint32_t lease;
     };
 
     static std::uint64_t key(const Memcg &cg, PageId p);
 
-    /** Drop every placement whose donor/lease field equals @p group
-     *  (pages lost); returns the distinct owning jobs. */
-    std::vector<JobId> fail_placement_group(std::uint32_t group);
+    /** Drop every placement under @p lease_id (pages lost); returns
+     *  the distinct owning jobs. */
+    std::vector<JobId> lose_lease_pages(std::uint32_t lease_id);
 
-    /** Pick the lease slot for the next store (pooled mode); the
-     *  lowest-id non-draining slot with space at or after the cursor,
-     *  wrapping -- deterministic round-robin across leases. Returns
-     *  the slot id, or ~0u when nothing has space. */
+    /** Pick the lease slot for the next store: the lowest-id
+     *  non-draining slot with space at or after the cursor, wrapping
+     *  -- deterministic round-robin across leases. Returns the slot
+     *  id, or ~0u when nothing has space. */
     std::uint32_t pick_store_slot();
 
+    // sdfm-state: config(fixed at construction; checkpoints compare
+    // config fingerprints rather than carrying it on the wire)
     RemoteTierParams params_;
     RemoteTierStats stats_;
     std::uint64_t used_pages_ = 0;
-    std::uint32_t next_donor_ = 0;  ///< round-robin placement
     std::unordered_map<std::uint64_t, Placement> placements_;
     Rng rng_;
     double transient_read_failure_prob_ = 0.0;
-
-    // -- lease-backed mode (params_.pooled) ---------------------------
 
     /** One granted lease's capacity slot. Ordered map: iteration and
      *  victim selection stay deterministic without key extraction. */
@@ -270,12 +249,12 @@ class RemoteTier : public FarTier
     std::vector<std::uint32_t> dead_leases_;  ///< pending reconciliation
 
     /** Parsed-but-unresolved placements between ckpt_load() and
-     *  ckpt_resolve(): (job id, page, donor). */
+     *  ckpt_resolve(): (job id, page, lease). */
     struct PendingPlacement
     {
         JobId job;
         PageId page;
-        std::uint32_t donor;
+        std::uint32_t lease;
     };
     // sdfm-state: derived(transient load-to-resolve staging, drained
     // by ckpt_resolve; always empty in a saved state)

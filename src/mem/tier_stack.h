@@ -12,17 +12,18 @@
  *                         path of last resort (it can only reject a
  *                         page for content reasons, never for space);
  *   indices 1..N-1     -- deep tiers (NVM, remote memory), ordered
- *                         shallow to deep, each with a fixed capacity,
- *                         an age band, and an optional circuit
- *                         breaker.
+ *                         shallow to deep, each with a bounded
+ *                         capacity (fixed for NVM, granted leases for
+ *                         remote memory), an age band, and an
+ *                         optional circuit breaker.
  *
- * Routing is pluggable: a RoutingPolicy turns the stack's current
- * health into a DemotionPlan -- an ordered route table kreclaimd
- * consults per page -- once per control period. The default
- * BandRoutingPolicy implements the paper-derived age-band scheme
- * (moderately-cold pages to the fast shallow tiers, deep-cold pages
- * to zswap) with breaker-aware fallback: a tier whose breaker is open
- * routes its band to the next-shallower allowed tier instead.
+ * Once per control period, BandRoutingPolicy turns the stack's
+ * current health into a DemotionPlan -- an ordered route table
+ * kreclaimd consults per page. It implements the paper-derived
+ * age-band scheme (moderately-cold pages to the fast shallow tiers,
+ * deep-cold pages to zswap) with breaker-aware fallback: a tier whose
+ * breaker is open routes its band to the next-shallower allowed tier
+ * instead.
  */
 
 #ifndef SDFM_MEM_TIER_STACK_H
@@ -71,7 +72,9 @@ struct TierSpec
 
 /**
  * Config-file description of one deep tier (MachineConfig::tiers).
- * Exactly one of the params structs is read, selected by kind.
+ * Exactly one of the params structs is read, selected by kind. A
+ * remote tier has no capacity of its own: it holds the lease slots
+ * granted to it (see RemoteTier).
  */
 struct TierConfig
 {
@@ -133,7 +136,7 @@ class TierStack
 
         /**
          * Memory pooling: the cluster broker's per-machine breaker is
-         * open, so this (remote, lease-backed) tier takes no new
+         * open, so this (remote) tier takes no new
          * stores; demotions fall through the route table to shallower
          * tiers. Orthogonal to the tier's own breaker.
          */
@@ -278,31 +281,22 @@ struct DemotionPlan
     }
 };
 
-/** Turns the stack's current health into a DemotionPlan. */
-class RoutingPolicy
-{
-  public:
-    virtual ~RoutingPolicy() = default;
-
-    /**
-     * Fill @p out (clearing any previous content) for one control
-     * period. Must emit routes deepest-first and end with a route to
-     * tier 0 covering [1, inf) so every cold page has a destination.
-     */
-    virtual void plan(TierStack &stack, DemotionPlan &out) const = 0;
-};
-
 /**
- * The default policy: each deep tier claims its configured age band,
+ * The routing policy: each deep tier claims its configured age band,
  * deepest tier first; a tier whose breaker is open hands its band to
  * the next-shallower allowed tier (ultimately zswap, which is always
  * allowed). Budgets come from each tier's breaker (trial trickle when
  * half-open, unlimited when closed or breaker-less).
  */
-class BandRoutingPolicy : public RoutingPolicy
+class BandRoutingPolicy
 {
   public:
-    void plan(TierStack &stack, DemotionPlan &out) const override;
+    /**
+     * Fill @p out (clearing any previous content) for one control
+     * period: routes deepest-first, ending with a route to tier 0
+     * covering [1, inf) so every cold page has a destination.
+     */
+    void plan(TierStack &stack, DemotionPlan &out) const;
 };
 
 }  // namespace sdfm

@@ -45,9 +45,7 @@ Machine::Machine(std::uint32_t machine_id, const MachineConfig &config,
       fault_(config.fault, seed)
 {
     // The zswap seed is always the first draw and tier seeds follow
-    // in stack order, so a given machine seed produces the same
-    // streams whether the stack came from the legacy fields or an
-    // equivalent explicit `tiers` vector.
+    // in stack order.
     auto zswap = std::make_unique<Zswap>(compressor_.get(),
                                          rng_.next_u64(),
                                          config_.verify_zswap_roundtrip);
@@ -56,39 +54,7 @@ Machine::Machine(std::uint32_t machine_id, const MachineConfig &config,
     TierSpec base;
     base.label = "zswap";
     tiers_.set_base(base, std::move(zswap));
-    routing_ = std::make_unique<BandRoutingPolicy>();
-
-    // Resolve the deep tiers: an explicit stack wins; otherwise the
-    // legacy single-tier fields derive an equivalent one.
-    std::vector<TierConfig> deep = config_.tiers;
-    if (deep.empty()) {
-        // A pooled remote tier starts with zero capacity (leases
-        // arrive later), so the enable test includes the flag.
-        bool remote_enabled = config_.remote.capacity_pages > 0 ||
-                              config_.remote.pooled;
-        SDFM_ASSERT(config_.nvm.capacity_pages == 0 || !remote_enabled);
-        if (config_.nvm.capacity_pages > 0 || remote_enabled) {
-            TierConfig tc;
-            if (config_.nvm.capacity_pages > 0) {
-                tc.kind = TierKind::kNvm;
-                tc.nvm = config_.nvm;
-            } else {
-                tc.kind = TierKind::kRemote;
-                tc.remote = config_.remote;
-            }
-            tc.band_lo = 1.0;
-            tc.band_hi = config_.nvm_deep_threshold_factor;
-            tc.breaker_enabled = config_.tier_breaker_enabled;
-            tc.breaker = config_.tier_breaker;
-            deep.push_back(tc);
-        }
-    } else {
-        SDFM_ASSERT(config_.nvm.capacity_pages == 0 &&
-                    config_.remote.capacity_pages == 0 &&
-                    !config_.remote.pooled);
-    }
-
-    for (const TierConfig &tc : deep) {
+    for (const TierConfig &tc : config_.tiers) {
         TierSpec spec;
         spec.label =
             tc.label.empty() ? tier_kind_name(tc.kind) : tc.label;
@@ -212,31 +178,12 @@ Machine::step(SimTime now)
     // trickle is machine-global, as before.
     if (config_.policy == FarMemoryPolicy::kProactive ||
         config_.policy == FarMemoryPolicy::kStatic) {
-        routing_->plan(tiers_, plan_);
+        routing_.plan(tiers_, plan_);
         for (auto &job : jobs_) {
             ReclaimResult reclaim =
                 kreclaimd_.reclaim_cold(job->memcg(), plan_);
             counters_.kreclaimd_cycles += reclaim.walk_cycles;
             counters_.kreclaimd.record(reclaim, /*direct=*/false);
-        }
-    }
-
-    // Remote-tier donor failures: pages hosted by a failed donor are
-    // lost; the owning jobs are killed and rescheduled elsewhere
-    // (Section 2.1's failure-domain expansion). The RNG is drawn only
-    // when a remote tier exists, matching the legacy stream.
-    if (config_.remote_donor_failures_per_hour > 0.0) {
-        std::size_t ri = tiers_.find(TierKind::kRemote);
-        if (ri < tiers_.size()) {
-            RemoteTier *remote =
-                static_cast<RemoteTier *>(&tiers_.tier(ri));
-            double prob = config_.remote_donor_failures_per_hour *
-                          static_cast<double>(config_.control_period) /
-                          static_cast<double>(kHour);
-            if (rng_.next_bool(prob)) {
-                ++result.donor_failures;
-                kill_victims(remote->fail_random_donor(), &result);
-            }
         }
     }
 
@@ -341,9 +288,8 @@ Machine::state_digest() const
     d.mix(zswap_->stats().rejects);
     d.mix(zswap_->stats().promotions);
     d.mix(zswap_->stats().poisoned_entries);
-    // Legacy layout: one (occupancy, breaker-state) pair -- zeros
-    // when no deep tier exists. Deeper stacks append one pair per
-    // tier, in stack order.
+    // One (occupancy, breaker-state) pair per deep tier, in stack
+    // order; a zswap-only machine mixes one pair of zeros.
     if (tiers_.deep_size() == 0) {
         d.mix(std::uint64_t{0});
         d.mix(std::uint64_t{0});
@@ -445,13 +391,12 @@ Machine::kill_victims(const std::vector<JobId> &victims,
 }
 
 std::vector<JobId>
-Machine::fail_donor(std::uint32_t donor)
+Machine::fail_donor(std::uint32_t lease_id)
 {
-    std::size_t ri = tiers_.find(TierKind::kRemote);
-    if (ri >= tiers_.size())
+    RemoteTier *remote = remote_tier();
+    if (remote == nullptr)
         return {};
-    RemoteTier *remote = static_cast<RemoteTier *>(&tiers_.tier(ri));
-    std::vector<JobId> victims = remote->fail_donor(donor);
+    std::vector<JobId> victims = remote->fail_donor(lease_id);
     for (JobId victim : victims) {
         remove_job(victim);
         ++counters_.evictions;
@@ -467,13 +412,12 @@ Machine::return_donated(std::uint64_t pages)
 }
 
 RemoteTier *
-Machine::pooled_remote()
+Machine::remote_tier()
 {
     std::size_t ri = tiers_.find(TierKind::kRemote);
     if (ri >= tiers_.size())
         return nullptr;
-    RemoteTier *remote = static_cast<RemoteTier *>(&tiers_.tier(ri));
-    return remote->pooled() ? remote : nullptr;
+    return static_cast<RemoteTier *>(&tiers_.tier(ri));
 }
 
 void
@@ -487,7 +431,7 @@ Machine::set_pool_gate(bool gated)
 std::uint64_t
 Machine::drain_lease(std::uint32_t lease_id, std::uint64_t budget)
 {
-    RemoteTier *remote = pooled_remote();
+    RemoteTier *remote = remote_tier();
     SDFM_ASSERT(remote != nullptr);
     std::uint64_t drained = 0;
     for (auto &[cg, page] : remote->lease_page_refs(lease_id, budget)) {
@@ -507,7 +451,7 @@ Machine::drain_lease(std::uint32_t lease_id, std::uint64_t budget)
 std::vector<JobId>
 Machine::fail_lease(std::uint32_t lease_id)
 {
-    RemoteTier *remote = pooled_remote();
+    RemoteTier *remote = remote_tier();
     SDFM_ASSERT(remote != nullptr);
     std::vector<JobId> victims = remote->fail_lease(lease_id);
     for (JobId victim : victims) {
@@ -592,31 +536,21 @@ Machine::apply_faults(SimTime now, SimTime period_end,
         return;
     result->faults_injected += events.size();
 
-    // Each event targets the shallowest tier of the matching kind --
-    // the legacy single-tier behaviour; deeper duplicates are only
-    // reachable through targeted chaos APIs.
+    // Each event targets the shallowest tier of the matching kind;
+    // deeper duplicates are only reachable through targeted chaos
+    // APIs.
     for (const FaultEvent &event : events) {
         switch (event.kind) {
           case FaultKind::kDonorFailure: {
-            std::size_t ri = tiers_.find(TierKind::kRemote);
-            if (ri >= tiers_.size())
+            RemoteTier *remote = remote_tier();
+            if (remote == nullptr)
                 break;
-            RemoteTier *remote =
-                static_cast<RemoteTier *>(&tiers_.tier(ri));
             ++result->donor_failures;
             std::size_t before = result->evicted.size();
-            if (remote->pooled()) {
-                // Pooled mode: the victim is a live lease, drawn over
-                // the sorted lease ids (no draw when none are held).
-                kill_victims(
-                    remote->fail_random_lease(fault_.target_rng()),
-                    result);
-            } else {
-                std::uint32_t donor = static_cast<std::uint32_t>(
-                    fault_.target_rng().next_below(
-                        remote->params().num_donors));
-                kill_victims(remote->fail_donor(donor), result);
-            }
+            // The victim is a live lease, drawn over the sorted lease
+            // ids (no draw when none are held).
+            kill_victims(remote->fail_random_lease(fault_.target_rng()),
+                         result);
             counters_.fault_kills += result->evicted.size() - before;
             break;
           }
@@ -987,18 +921,14 @@ Machine::telemetry_snapshot() const
             breaker_level(tiers_.entry(1).breaker);
     }
 
-    // Per-tier rows exist only for explicit stacks, keeping the
-    // legacy configurations' metric surface unchanged.
-    if (!config_.tiers.empty()) {
-        for (std::size_t i = 1; i < tiers_.size(); ++i) {
-            const TierStack::Entry &e = tiers_.entry(i);
-            std::string prefix = "tier." + e.spec.label + ".";
-            counters[prefix + "demotions"] += tier_stores(*e.tier);
-            gauges[prefix + "stored_pages"] = level(e.step_end_used_pages);
-            gauges[prefix + "utilization"] = e.step_end_utilization;
-            if (e.spec.breaker_enabled)
-                gauges[prefix + "breaker_state"] = breaker_level(e.breaker);
-        }
+    for (std::size_t i = 1; i < tiers_.size(); ++i) {
+        const TierStack::Entry &e = tiers_.entry(i);
+        std::string prefix = "tier." + e.spec.label + ".";
+        counters[prefix + "demotions"] += tier_stores(*e.tier);
+        gauges[prefix + "stored_pages"] = level(e.step_end_used_pages);
+        gauges[prefix + "utilization"] = e.step_end_utilization;
+        if (e.spec.breaker_enabled)
+            gauges[prefix + "breaker_state"] = breaker_level(e.breaker);
     }
     return snap;
 }

@@ -73,56 +73,24 @@ struct MachineConfig
     KreclaimdParams kreclaimd;
 
     /**
-     * Optional hardware far-memory tier (future-work two-tier
-     * configuration); capacity_pages == 0 disables it.
-     */
-    NvmTierParams nvm;
-
-    /**
-     * Optional remote-memory tier (Section 2.1 alternative);
-     * capacity_pages == 0 disables it. At most one of nvm/remote may
-     * be enabled.
-     */
-    RemoteTierParams remote;
-
-    /**
-     * Mean donor-machine failures per hour when the remote tier is
-     * enabled (the failure-domain expansion experiment).
-     */
-    double remote_donor_failures_per_hour = 0.0;
-
-    /**
-     * Two-tier routing: pages with age in [T, factor * T) go to the
-     * second tier, deeper cold to zswap (T is the job's live
-     * threshold).
-     */
-    double nvm_deep_threshold_factor = 4.0;
-
-    /**
-     * Explicit N-tier stack below zswap, in routing-priority order
-     * (the machine demotes into the deepest matching band first).
-     * When empty, the legacy nvm/remote fields above derive an
-     * equivalent one- or two-tier stack, preserving historical
-     * trajectories bit for bit. When non-empty, the legacy nvm/remote
-     * fields must be disabled, and each tier exports
-     * tier.<label>.* metrics.
+     * The far-memory tiers below zswap (NVM, remote memory), in
+     * routing-priority order: the machine demotes into the deepest
+     * matching age band first. Empty (the default) is the paper's
+     * deployed zswap-only machine. Each tier exports tier.<label>.*
+     * metrics. A remote tier starts empty and holds only the lease
+     * slots granted to it: by the cluster's MemoryBroker inside a
+     * fleet, by the owner (RemoteTier::grant_lease) for a standalone
+     * machine.
      */
     std::vector<TierConfig> tiers;
 
     // -- fault plane (all off by default; the default configuration
     // -- leaves simulation trajectories bit-identical) ---------------
 
-    /** Seeded fault-injection schedule for this machine. */
+    /** Seeded fault-injection schedule for this machine. Donor
+     *  failures (fault.donor_failure_prob) hit the remote tier's
+     *  leases. */
     FaultConfig fault;
-
-    /**
-     * Per-machine circuit breaker over the second tier: consecutive
-     * steps with failed tier reads open the breaker and kreclaimd
-     * routes demotions to zswap instead; half-open probes trickle
-     * tier stores back in with exponential hold-offs.
-     */
-    bool tier_breaker_enabled = false;
-    CircuitBreakerParams tier_breaker;
 
     /** Per-job SLO circuit breaker (forwarded to the node agent). */
     bool slo_breaker_enabled = false;
@@ -227,18 +195,17 @@ class Machine
     }
 
     /**
-     * Broker breaker gate over the lease-backed remote tier: while
-     * gated the tier accepts no new demotions and the route table
-     * falls through to shallower tiers (NVM/zswap). No-op when no
-     * remote tier exists.
+     * Broker breaker gate over the remote tier: while gated the tier
+     * accepts no new demotions and the route table falls through to
+     * shallower tiers (NVM/zswap). No-op when no remote tier exists.
      */
     void set_pool_gate(bool gated);
 
     /**
      * Drain up to @p budget pages stored under @p lease_id out of the
-     * lease-backed remote tier, re-homing them in zswap where the page
-     * contents allow (the grace-window drain). Returns pages dropped
-     * from the lease.
+     * remote tier, re-homing them in zswap where the page contents
+     * allow (the grace-window drain). Returns pages dropped from the
+     * lease.
      */
     std::uint64_t drain_lease(std::uint32_t lease_id,
                               std::uint64_t budget);
@@ -250,8 +217,9 @@ class Machine
      */
     std::vector<JobId> fail_lease(std::uint32_t lease_id);
 
-    /** The lease-backed remote tier, or null when not pooled. */
-    RemoteTier *pooled_remote();
+    /** The (shallowest) remote tier, or null when the stack has
+     *  none. */
+    RemoteTier *remote_tier();
 
     /** Sum of per-job cold pages under the 120 s threshold. */
     std::uint64_t cold_pages_min_threshold() const;
@@ -310,12 +278,13 @@ class Machine
     }
 
     /**
-     * Fail one specific remote-tier donor right now: its pages are
-     * lost and the owning jobs are killed (the caller reschedules
-     * them -- see Cluster::inject_donor_failure). No-op returning an
-     * empty list when no remote tier is configured.
+     * Crash the donor behind remote-tier lease @p lease_id right now:
+     * the lease's pages are lost and the owning jobs are killed (the
+     * caller reschedules them -- see Cluster::inject_donor_failure).
+     * No-op returning an empty list when no remote tier holds that
+     * lease.
      */
-    std::vector<JobId> fail_donor(std::uint32_t donor);
+    std::vector<JobId> fail_donor(std::uint32_t lease_id);
 
     /**
      * Crash-and-restart the node agent right now: all controller
@@ -415,11 +384,10 @@ class Machine
     TierStack tiers_;
     /** Cached tiers_.zswap() -- the hot path in step(). */
     Zswap *zswap_ = nullptr;
-    /** Maps age bands to tiers each step; pluggable.
-     *  sdfm-state: config(stateless policy chosen from config at
-     *  construction; every decision lands in the digested plan
-     *  effects) */
-    std::unique_ptr<RoutingPolicy> routing_;
+    /** Maps age bands to tiers each step.
+     *  sdfm-state: config(stateless policy; every decision lands in
+     *  the digested plan effects) */
+    BandRoutingPolicy routing_;
     /** Scratch demotion plan, reused across steps (no allocation).
      *  sdfm-state: non-semantic(per-step scratch, fully rebuilt by
      *  the routing policy before each reclaim pass) */

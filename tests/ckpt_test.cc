@@ -465,8 +465,12 @@ TEST(SubsystemCkpt, MachineRoundTripTrajectoryEqual)
     // A small NVM tier: it fills, and zswap takes the overflow, so
     // both tiers and every telemetry histogram carry data across the
     // checkpoint.
-    config.nvm.capacity_pages = 1024;
-    config.tier_breaker_enabled = true;
+    TierConfig nvm;
+    nvm.kind = TierKind::kNvm;
+    nvm.nvm.capacity_pages = 1024;
+    nvm.band_hi = 4.0;
+    nvm.breaker_enabled = true;
+    config.tiers = {nvm};
     config.slo_breaker_enabled = true;
     Machine a(0, config, 11);
     for (std::size_t i = 0; i < 3; ++i) {
@@ -502,13 +506,24 @@ TEST(SubsystemCkpt, MachineRoundTripTrajectoryEqual)
     }
 }
 
+/** A remote tier claiming the ages in [T, 4T), under a breaker. */
+TierConfig
+remote_tier_config()
+{
+    TierConfig remote;
+    remote.kind = TierKind::kRemote;
+    remote.band_hi = 4.0;
+    remote.breaker_enabled = true;
+    return remote;
+}
+
 TEST(SubsystemCkpt, ClusterRoundTripTrajectoryEqual)
 {
     ClusterConfig config;
     config.num_machines = 3;
     config.machine.dram_pages = 16 * 1024;
-    config.machine.remote.capacity_pages = 1 << 20;
-    config.machine.tier_breaker_enabled = true;
+    config.machine.tiers = {remote_tier_config()};
+    config.pool = permanent_lease_pool(1024, 4);
     config.machine.fault.enabled = true;
     config.machine.fault.donor_failure_prob = 0.05;
     config.machine.fault.zswap_corruption_prob = 0.2;
@@ -519,11 +534,16 @@ TEST(SubsystemCkpt, ClusterRoundTripTrajectoryEqual)
     for (int i = 0; i < 20; ++i, now += config.machine.control_period)
         a.step(now);
 
+    // The broker rides in its own fleet section; a cluster-level round
+    // trip carries it right behind the cluster.
     Serializer s;
     a.ckpt_save(s);
+    a.broker()->ckpt_save(s);
     Cluster b(0, config, 5);
     Deserializer d(s.bytes());
     ASSERT_TRUE(b.ckpt_load(d));
+    ASSERT_TRUE(b.broker()->ckpt_load(d));
+    ASSERT_TRUE(b.broker()->ckpt_resolve(b.machines()));
     ASSERT_TRUE(d.at_end());
     EXPECT_EQ(a.state_digest(), b.state_digest());
 
@@ -548,8 +568,8 @@ small_fleet_config()
     config.serial_step = true;  // keep the tests single-threaded
     config.cluster.num_machines = 3;
     config.cluster.machine.dram_pages = 16 * 1024;
-    config.cluster.machine.remote.capacity_pages = 1 << 20;
-    config.cluster.machine.tier_breaker_enabled = true;
+    config.cluster.machine.tiers = {remote_tier_config()};
+    config.cluster.pool = permanent_lease_pool(1024, 4);
     config.cluster.machine.slo_breaker_enabled = true;
     config.cluster.machine.fault.enabled = true;
     config.cluster.machine.fault.donor_failure_prob = 0.05;

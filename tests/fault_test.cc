@@ -255,8 +255,8 @@ TEST(ZswapCorruption, CorruptOnEmptyStoreIsHarmless)
 TEST(RemoteRetry, DegradedReadsRetryWithBackoffAndExhaust)
 {
     RemoteTierParams params;
-    params.capacity_pages = 100;
     RemoteTier remote(params, 3);
+    remote.grant_lease(0, 100);
     Memcg cg(1, 50, 42, ContentMix::typical(), 0);
     for (PageId p = 0; p < 50; ++p)
         ASSERT_TRUE(remote.store(cg, p));
@@ -278,6 +278,7 @@ TEST(RemoteRetry, DegradedReadsRetryWithBackoffAndExhaust)
 
     // Healthy path draws no extra randomness and never retries.
     RemoteTier healthy(params, 3);
+    healthy.grant_lease(0, 100);
     Memcg cg2(2, 10, 42, ContentMix::typical(), 0);
     for (PageId p = 0; p < 10; ++p) {
         ASSERT_TRUE(healthy.store(cg2, p));
@@ -357,6 +358,16 @@ static_machine_config()
     return config;
 }
 
+/** One deep tier of @p kind claiming the ages in [T, 4T). */
+TierConfig
+deep_tier(TierKind kind)
+{
+    TierConfig tier;
+    tier.kind = kind;
+    tier.band_hi = 4.0;
+    return tier;
+}
+
 TEST(FaultMachine, CorruptionScheduleSurvivesStepLoop)
 {
     MachineConfig config = static_machine_config();
@@ -387,14 +398,15 @@ TEST(FaultMachine, CorruptionScheduleSurvivesStepLoop)
 TEST(FaultMachine, RemoteDegradeDrivesRetriesAndTierBreaker)
 {
     MachineConfig config = static_machine_config();
-    config.remote.capacity_pages = 1 << 20;
-    config.tier_breaker_enabled = true;
+    config.tiers = {deep_tier(TierKind::kRemote)};
+    config.tiers[0].breaker_enabled = true;
     config.fault.enabled = true;
     config.fault.remote_read_failure_prob = 1.0;
     config.fault.degrade_duration = 20 * kMinute;
     config.fault.schedule.push_back(
         {10 * kMinute, {FaultKind::kRemoteDegrade, 1, 20 * kMinute}});
     Machine machine(0, config, 13);
+    machine.remote_tier()->grant_lease(0, 1 << 20);
     machine.add_job(
         std::make_unique<Job>(1, profile_by_name("logs"), 7, 0));
     machine.add_job(
@@ -428,7 +440,8 @@ TEST(FaultMachine, NvmCapacityLossSpillsToZswap)
     MachineConfig config = static_machine_config();
     // Small enough that the tier is full when the loss hits, so the
     // surviving capacity cannot hold the resident tier pages.
-    config.nvm.capacity_pages = 8192;
+    config.tiers = {deep_tier(TierKind::kNvm)};
+    config.tiers[0].nvm.capacity_pages = 8192;
     config.fault.enabled = true;
     config.fault.capacity_loss_frac = 0.95;
     config.fault.schedule.push_back(
@@ -650,7 +663,7 @@ TEST(SloBreaker, ConfigDeploymentResetsConsecutiveBreachCount)
 }
 
 // ---------------------------------------------------------------------
-// Cluster-level donor failure (the previously dormant fail_donor path)
+// Cluster-level donor failure
 // ---------------------------------------------------------------------
 
 ClusterConfig
@@ -659,8 +672,11 @@ remote_cluster_config()
     ClusterConfig config;
     config.num_machines = 4;
     config.machine = static_machine_config();
-    config.machine.dram_pages = 16 * 1024;
-    config.machine.remote.capacity_pages = 1 << 20;
+    // Room for the mix's largest archetype (32768 pages) beside the
+    // pages donors lend, so a killed job's replacement finds a home.
+    config.machine.dram_pages = 64 * 1024;
+    config.machine.tiers = {deep_tier(TierKind::kRemote)};
+    config.pool = permanent_lease_pool(1024, 4);
     config.target_utilization = 0.6;
     config.churn_per_hour = 0.0;
     config.mix = typical_fleet_mix();
@@ -675,30 +691,27 @@ TEST(FaultCluster, InjectedDonorFailureKillsAndReschedules)
     for (; now < 30 * kMinute; now += kMinute)
         cluster.step(now);
 
-    // Find a donor actually hosting pages so the failure has victims.
-    std::uint32_t machine_index = 0, donor = 0;
+    // Find a lease actually holding pages so the failure has victims.
+    std::uint32_t machine_index = 0, lease = 0;
     bool found = false;
     for (std::uint32_t m = 0;
          m < cluster.machines().size() && !found; ++m) {
-        TierStack &tiers = cluster.machines()[m]->tiers();
-        std::size_t ri = tiers.find(TierKind::kRemote);
-        ASSERT_LT(ri, tiers.size());
-        RemoteTier *remote =
-            static_cast<RemoteTier *>(&tiers.tier(ri));
-        for (std::uint32_t d = 0; d < remote->params().num_donors; ++d) {
-            if (remote->donor_pages(d) > 0) {
+        RemoteTier *remote = cluster.machines()[m]->remote_tier();
+        ASSERT_NE(remote, nullptr);
+        for (const auto &slot : remote->lease_slots()) {
+            if (slot.used > 0) {
                 machine_index = m;
-                donor = d;
+                lease = slot.id;
                 found = true;
                 break;
             }
         }
     }
-    ASSERT_TRUE(found) << "no donor hosts pages after 30 minutes";
+    ASSERT_TRUE(found) << "no lease holds pages after 30 minutes";
 
     std::uint64_t jobs_before = cluster.num_jobs();
     DonorFailureResult result =
-        cluster.inject_donor_failure(now, machine_index, donor);
+        cluster.inject_donor_failure(now, machine_index, lease);
     EXPECT_FALSE(result.killed.empty());
     // Victims restart fresh elsewhere: the fleet heals to the same
     // job count.
@@ -726,7 +739,8 @@ chaos_fleet_config()
     config.cluster.num_machines = 3;
     config.cluster.machine = static_machine_config();
     config.cluster.machine.dram_pages = 16 * 1024;
-    config.cluster.machine.remote.capacity_pages = 1 << 20;
+    config.cluster.machine.tiers = {deep_tier(TierKind::kRemote)};
+    config.cluster.pool = permanent_lease_pool(1024, 4);
     config.cluster.mix = typical_fleet_mix();
     config.cluster.machine.fault.enabled = true;
     config.cluster.machine.fault.donor_failure_prob = 0.05;

@@ -456,8 +456,13 @@ TEST_P(MachineInvariants, HoldUnderRandomConfigs)
         static_cast<SimTime>(rng.next_below(1200));
     config.kstaled.scan_stride =
         static_cast<std::uint32_t>(1 + rng.next_below(4));
-    if (rng.next_bool(0.4))
-        config.nvm.capacity_pages = 1024 + rng.next_below(8192);
+    if (rng.next_bool(0.4)) {
+        TierConfig nvm;
+        nvm.kind = TierKind::kNvm;
+        nvm.nvm.capacity_pages = 1024 + rng.next_below(8192);
+        nvm.band_hi = 4.0;
+        config.tiers = {nvm};
+    }
     Machine machine(0, config, rng.next_u64());
 
     FleetMix mix = typical_fleet_mix();

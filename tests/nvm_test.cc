@@ -172,7 +172,11 @@ TEST(TwoTierMachine, EndToEnd)
     MachineConfig config;
     config.dram_pages = 128ull * kMiB / kPageSize;
     config.compression = CompressionMode::kModeled;
-    config.nvm.capacity_pages = 512;  // small: force overflow into zswap
+    TierConfig nvm;
+    nvm.kind = TierKind::kNvm;
+    nvm.nvm.capacity_pages = 512;  // small: force overflow into zswap
+    nvm.band_hi = 4.0;
+    config.tiers = {nvm};
     Machine machine(0, config, 3);
     ASSERT_LT(machine.tiers().find(TierKind::kNvm),
               machine.tiers().size());

@@ -444,15 +444,17 @@ file_hash(const std::string &path)
 // touched since populate saturate at 255. The digests and the
 // checkpoint files' bytes at both steps are pinned, and restores from
 // step 300 (before saturation) and step 560 (after it) must rejoin the
-// uninterrupted trajectory. The values were captured on the build
+// uninterrupted trajectory. The digests were captured on the build
 // that still kept one 8-bit age per page and aged idle pages by
-// incrementing them.
+// incrementing them. The checkpoint hashes were re-pinned for format
+// version 5, whose config section no longer carries the single-tier
+// machine fields; every other section's bytes are unchanged.
 TEST(PageTableFleet, SmallFleetPastSaturationMatchesPinnedCheckpoints)
 {
     constexpr std::uint64_t kDigest300 = 0x9b07c6ba63e9e8feULL;
     constexpr std::uint64_t kDigest600 = 0xf70e82bbef772d84ULL;
-    constexpr std::uint64_t kCkptHash300 = 0xb3ef99680ce2c9b6ULL;
-    constexpr std::uint64_t kCkptHash600 = 0x4a1783759535fc54ULL;
+    constexpr std::uint64_t kCkptHash300 = 0xe3e9c2a1257ef4b6ULL;
+    constexpr std::uint64_t kCkptHash600 = 0xa33c504cc7c91554ULL;
     const FleetConfig config = small_fleet_config();
     TempFile at300("page_table_fleet_300.ckpt");
     TempFile at560("page_table_fleet_560.ckpt");

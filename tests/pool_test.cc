@@ -13,6 +13,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -130,13 +132,24 @@ TEST(LeaseDeathTest, IllegalTransitionDies)
 // Broker control plane (direct unit tests, no cluster)
 // ---------------------------------------------------------------------
 
+/** The remote tier these tests pool: lease slots claiming the ages
+ *  in [T, 4T). */
+TierConfig
+lease_tier()
+{
+    TierConfig tier;
+    tier.kind = TierKind::kRemote;
+    tier.band_hi = 4.0;
+    return tier;
+}
+
 MachineConfig
 pooled_machine()
 {
     MachineConfig config;
     config.dram_pages = 16 * 1024;
     config.compression = CompressionMode::kModeled;
-    config.remote.pooled = true;
+    config.tiers = {lease_tier()};
     return config;
 }
 
@@ -144,7 +157,7 @@ MachineConfig
 donor_machine()
 {
     // No remote tier at all: this machine can lend DRAM but never
-    // borrows (pooled_remote() is null, so matching skips it).
+    // borrows (remote_tier() is null, so matching skips it).
     MachineConfig config;
     config.dram_pages = 16 * 1024;
     config.compression = CompressionMode::kModeled;
@@ -219,8 +232,8 @@ TEST(BrokerTest, GrantDeliversOneRoundTripLater)
     EXPECT_EQ(lease.deadline,
               kMinute + 60 * kMinute);
     EXPECT_EQ(broker.stats().leases_granted, 1u);
-    ASSERT_NE(machines[0]->pooled_remote(), nullptr);
-    EXPECT_EQ(machines[0]->pooled_remote()->capacity_pages(), 1024u);
+    ASSERT_NE(machines[0]->remote_tier(), nullptr);
+    EXPECT_EQ(machines[0]->remote_tier()->capacity_pages(), 1024u);
     broker.check_invariants(machines);
 }
 
@@ -303,6 +316,56 @@ TEST(BrokerTest, LostGrantsRetryWithBackoffThenAbort)
     broker.check_invariants(machines);
 }
 
+// Every delivery is lost and the grant never aborts: the backoff
+// doubles up to 64 periods and stays there. Uncapped, retry 8 would
+// wait 128 periods, and the shift is undefined past retry 64.
+TEST(BrokerTest, GrantBackoffStaysCappedPastSixtyFourRetries)
+{
+    MemPoolParams params = small_pool();
+    params.max_grant_retries = 100;
+    params.grant_backoff_base = 1;
+    params.fault.enabled = true;
+    params.fault.lease_grant_loss_prob = 1.0;
+    auto machines = two_machines();
+    MemoryBroker broker(params, 99, 2);
+
+    SimTime now = 0;
+    std::uint32_t retries = 0;
+    for (int i = 0; i < 5000 && retries < 70; ++i, now += kMinute) {
+        broker.step(now, kMinute, machines);
+        ASSERT_EQ(broker.leases().size(), 1u);
+        const Lease &lease = broker.leases().begin()->second;
+        ASSERT_EQ(lease.state, LeaseState::kGranted);
+        ASSERT_LE(lease.grant_backoff_remaining, 64u)
+            << "after retry " << lease.grant_retries;
+        retries = lease.grant_retries;
+    }
+    EXPECT_EQ(retries, 70u);
+    EXPECT_EQ(broker.stats().grants_aborted, 0u);
+}
+
+// A term that ends past the end of time never expires. Unsaturated,
+// the u64 maximum casts to -1 periods and 2^62 periods overflows the
+// deadline, and either lease expires at once.
+TEST(BrokerTest, LeaseTermPastEndOfTimeNeverExpires)
+{
+    for (std::uint64_t term : {std::numeric_limits<std::uint64_t>::max(),
+                               std::uint64_t{1} << 62}) {
+        MemPoolParams params = small_pool();
+        params.lease_term_periods = term;
+        auto machines = two_machines();
+        MemoryBroker broker(params, 99, 2);
+        SimTime now = 0;
+        for (int i = 0; i < 10; ++i, now += kMinute)
+            broker.step(now, kMinute, machines);
+        ASSERT_EQ(broker.leases().size(), 1u) << "term " << term;
+        const Lease &lease = broker.leases().begin()->second;
+        EXPECT_EQ(lease.state, LeaseState::kActive) << "term " << term;
+        EXPECT_EQ(lease.deadline, std::numeric_limits<SimTime>::max());
+        EXPECT_EQ(broker.stats().revocations, 0u);
+    }
+}
+
 TEST(BrokerTest, LostRevocationsRedeliverAndOpenTheBreaker)
 {
     MemPoolParams params = small_pool();
@@ -368,6 +431,7 @@ pooled_fleet(std::uint64_t seed)
     config.cluster.mix = typical_fleet_mix();
     config.cluster.num_machines = 4;
     config.cluster.machine.dram_pages = 16 * 1024;
+    config.cluster.machine.tiers = {lease_tier()};
     MemPoolParams &pool = config.cluster.pool;
     pool.enabled = true;
     pool.lease_pages = 1024;
@@ -395,6 +459,64 @@ TEST(PoolFleetTest, LeasesCirculateAndDrainWithoutKills)
     EXPECT_GT(report.pool_leases_granted, 0u);
     EXPECT_GT(report.pool_revocations, 0u);
     EXPECT_EQ(report.pool_forced_kills, 0u);
+}
+
+TEST(PoolFleetTest, PermanentLeasesNeverRevokeAndRegrantAfterDonorCrash)
+{
+    // A static donor pool: a term that outlasts the run and no donor
+    // reserve, so the broker never revokes. One lease per borrower,
+    // so a borrower whose lease dies with its donor asks for another.
+    FleetConfig config = pooled_fleet(5);
+    config.cluster.pool.lease_term_periods = 1000;
+    config.cluster.pool.donor_reserve_frac = 0.0;
+    config.cluster.pool.max_leases_per_borrower = 1;
+    ScheduledFault crash;
+    crash.at = config.start_time + 30 * kMinute;
+    crash.event.kind = FaultKind::kDonorFailure;
+    config.cluster.machine.fault.enabled = true;
+    config.cluster.machine.fault.schedule = {crash};
+    FarMemorySystem fleet(config);
+    fleet.populate();
+    for (int i = 0; i < 30; ++i)
+        fleet.step();
+    const MemoryBroker *broker = fleet.clusters()[0]->broker();
+    ASSERT_NE(broker, nullptr);
+    std::map<LeaseId, std::uint32_t> borrower_of;
+    for (const auto &[id, lease] : broker->leases()) {
+        if (lease.state == LeaseState::kActive)
+            borrower_of[id] = lease.borrower;
+    }
+    ASSERT_FALSE(borrower_of.empty());
+    const LeaseId first_new_id = broker->leases().rbegin()->first + 1;
+
+    for (int i = 0; i < 30; ++i) {
+        fleet.step();
+        fleet.check_invariants();
+    }
+    const MemPoolStats &stats = broker->stats();
+    EXPECT_GT(stats.donor_crash_revocations, 0u);
+    EXPECT_EQ(stats.revocations, 0u);
+    EXPECT_EQ(stats.grace_drain_pages, 0u);
+    EXPECT_EQ(stats.forced_kills, 0u);
+    // Every lease that died with its donor left a borrower that holds
+    // a newer lease now.
+    std::uint64_t crashed = 0;
+    for (const auto &[id, borrower] : borrower_of) {
+        auto it = broker->leases().find(id);
+        if (it != broker->leases().end() &&
+            it->second.state == LeaseState::kActive) {
+            continue;
+        }
+        ++crashed;
+        bool regranted = false;
+        for (const auto &[new_id, lease] : broker->leases()) {
+            regranted |= new_id >= first_new_id &&
+                         lease.borrower == borrower &&
+                         lease.state == LeaseState::kActive;
+        }
+        EXPECT_TRUE(regranted) << "borrower " << borrower;
+    }
+    EXPECT_GT(crashed, 0u);
 }
 
 TEST(PoolFleetTest, ZeroDrainRateForcesKillsAtGraceEnd)
@@ -427,7 +549,7 @@ TEST(PoolFleetTest, BrokerOutageOpensBreakersAndReroutesDemotions)
 {
     // Ten clean minutes of pooling, then the broker stalls for the
     // rest of the run: every machine's control-plane breaker opens,
-    // the lease-backed tier is gated to zero budget, and demotions
+    // the remote tier is gated to zero budget, and demotions
     // fall through the route table to zswap -- no job is killed.
     FleetConfig config = pooled_fleet(5);
     ScheduledFault stall;
@@ -486,6 +608,52 @@ TEST(PoolFleetTest, SerialAndParallelSteppingAgreeWithPooling)
         ASSERT_TRUE(s.histograms == p.histograms)
             << "histograms diverged at step " << i;
     }
+}
+
+// ---------------------------------------------------------------------
+// Cluster configs the broker cannot serve
+// ---------------------------------------------------------------------
+
+ClusterConfig
+small_cluster()
+{
+    ClusterConfig config;
+    config.num_machines = 2;
+    config.machine.dram_pages = 16 * 1024;
+    config.mix = typical_fleet_mix();
+    return config;
+}
+
+TEST(PoolConfigDeathTest, RemoteTierWithoutPoolRejected)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ClusterConfig config = small_cluster();
+    config.machine.tiers = {lease_tier()};
+    EXPECT_DEATH({ Cluster cluster(0, config, 1); },
+                 "kRemote tier in machine.tiers needs pool.enabled");
+}
+
+TEST(PoolConfigDeathTest, SecondRemoteTierRejected)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ClusterConfig config = small_cluster();
+    TierConfig deeper = lease_tier();
+    deeper.label = "remote_deep";
+    deeper.band_lo = 4.0;
+    deeper.band_hi = 0.0;
+    config.machine.tiers = {lease_tier(), deeper};
+    config.pool.enabled = true;
+    EXPECT_DEATH({ Cluster cluster(0, config, 1); },
+                 "machine.tiers holds at most one kRemote tier");
+}
+
+TEST(PoolConfigDeathTest, PoolWithoutRemoteTierRejected)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ClusterConfig config = small_cluster();
+    config.pool.enabled = true;
+    EXPECT_DEATH({ Cluster cluster(0, config, 1); },
+                 "pool.enabled needs a kRemote tier in machine.tiers");
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the remote-memory tier: placement, crypto and latency
- * accounting, donor-failure data loss (Section 2.1's failure-domain
- * expansion), and machine-level integration.
+ * Tests for the remote-memory tier: lease-slot placement, crypto and
+ * latency accounting, donor-failure data loss (Section 2.1's
+ * failure-domain expansion), and machine-level integration.
  */
 
 #include <gtest/gtest.h>
@@ -16,22 +16,19 @@
 namespace sdfm {
 namespace {
 
-RemoteTierParams
-small_remote(std::uint64_t capacity, std::uint32_t donors = 4)
-{
-    RemoteTierParams params;
-    params.capacity_pages = capacity;
-    params.num_donors = donors;
-    return params;
-}
-
+/** A remote tier holding @p leases lease slots (ids 0..leases-1) that
+ *  share @p capacity pages evenly -- one slot per donor machine. */
 struct Rig
 {
-    explicit Rig(std::uint32_t pages, RemoteTierParams params)
+    explicit Rig(std::uint32_t pages, std::uint64_t capacity,
+                 std::uint32_t leases = 4,
+                 RemoteTierParams params = RemoteTierParams())
         : compressor(make_compressor(CompressionMode::kModeled)),
           zswap(compressor.get(), 1), remote(params, 2),
           cg(1, pages, 42, ContentMix::typical(), 0)
     {
+        for (std::uint32_t id = 0; id < leases; ++id)
+            remote.grant_lease(id, capacity / leases);
     }
 
     std::unique_ptr<Compressor> compressor;
@@ -42,7 +39,7 @@ struct Rig
 
 TEST(RemoteTier, StoreLoadRoundTrip)
 {
-    Rig rig(10, small_remote(100));
+    Rig rig(10, 100);
     ASSERT_TRUE(rig.remote.store(rig.cg, 0));
     EXPECT_TRUE(rig.cg.page_test(0, kPageInFarTier));
     EXPECT_EQ(rig.remote.used_pages(), 1u);
@@ -60,7 +57,7 @@ TEST(RemoteTier, StoreLoadRoundTrip)
 
 TEST(RemoteTier, CapacityBound)
 {
-    Rig rig(10, small_remote(3));
+    Rig rig(10, 3, /*leases=*/1);
     EXPECT_TRUE(rig.remote.store(rig.cg, 0));
     EXPECT_TRUE(rig.remote.store(rig.cg, 1));
     EXPECT_TRUE(rig.remote.store(rig.cg, 2));
@@ -70,16 +67,16 @@ TEST(RemoteTier, CapacityBound)
 
 TEST(RemoteTier, RoundRobinSpreadsAcrossDonors)
 {
-    Rig rig(40, small_remote(100, /*donors=*/4));
+    Rig rig(40, 100, /*leases=*/4);
     for (PageId p = 0; p < 40; ++p)
         ASSERT_TRUE(rig.remote.store(rig.cg, p));
-    for (std::uint32_t donor = 0; donor < 4; ++donor)
-        EXPECT_EQ(rig.remote.donor_pages(donor), 10u);
+    for (std::uint32_t lease = 0; lease < 4; ++lease)
+        EXPECT_EQ(rig.remote.lease_used(lease), 10u);
 }
 
 TEST(RemoteTier, DonorFailureLosesPagesAndNamesVictims)
 {
-    Rig rig(40, small_remote(100, 4));
+    Rig rig(40, 100, 4);
     for (PageId p = 0; p < 40; ++p)
         rig.remote.store(rig.cg, p);
     std::vector<JobId> victims = rig.remote.fail_donor(2);
@@ -87,33 +84,57 @@ TEST(RemoteTier, DonorFailureLosesPagesAndNamesVictims)
     EXPECT_EQ(victims[0], rig.cg.id());
     EXPECT_EQ(rig.remote.stats().pages_lost, 10u);
     EXPECT_EQ(rig.remote.used_pages(), 30u);
-    EXPECT_EQ(rig.remote.donor_pages(2), 0u);
+    // The lease is gone with its donor, and queued for the broker.
+    EXPECT_EQ(rig.remote.capacity_pages(), 75u);
+    EXPECT_EQ(rig.remote.dead_leases(), std::vector<std::uint32_t>{2});
     // Other donors' pages survive.
-    EXPECT_EQ(rig.remote.donor_pages(1), 10u);
+    EXPECT_EQ(rig.remote.lease_used(1), 10u);
 }
 
 TEST(RemoteTier, FailureOfEmptyDonorHarmless)
 {
-    Rig rig(10, small_remote(100, 4));
+    Rig rig(10, 100, 4);
     EXPECT_TRUE(rig.remote.fail_donor(3).empty());
     EXPECT_EQ(rig.remote.stats().pages_lost, 0u);
 }
 
 TEST(RemoteTier, DropAllClearsPlacements)
 {
-    Rig rig(20, small_remote(100, 4));
+    Rig rig(20, 100, 4);
     for (PageId p = 0; p < 20; ++p)
         rig.remote.store(rig.cg, p);
     rig.remote.drop_all(rig.cg);
     EXPECT_EQ(rig.remote.used_pages(), 0u);
-    for (std::uint32_t donor = 0; donor < 4; ++donor)
-        EXPECT_EQ(rig.remote.donor_pages(donor), 0u);
+    for (std::uint32_t lease = 0; lease < 4; ++lease)
+        EXPECT_EQ(rig.remote.lease_used(lease), 0u);
+}
+
+// Every read attempt fails: the retry loop runs to max_read_retries,
+// each retry's backoff doubling up to 64x its base. Without the cap,
+// the backoff sum is 2^63 times the base by retry 64 and the shift is
+// undefined past it.
+TEST(RemoteTier, ReadRetryBackoffStaysCappedPastSixtyFourRetries)
+{
+    RemoteTierParams params;
+    params.max_read_retries = 100;
+    params.jitter_sigma = 0.0;  // every round trip is read_latency_us
+    Rig rig(1, 1, 1, params);
+    rig.remote.set_transient_read_failure(1.0);
+    ASSERT_TRUE(rig.remote.store(rig.cg, 0));
+    rig.remote.load(rig.cg, 0);
+    EXPECT_EQ(rig.remote.stats().read_retries, 100u);
+    EXPECT_EQ(rig.remote.stats().reads_exhausted, 1u);
+    // 1 + 2 + ... + 32 for retries 1-6, then 64 for each of 94 more.
+    double backoff_units = 63.0 + 94.0 * 64.0;
+    EXPECT_DOUBLE_EQ(rig.cg.stats().nvm_read_latency_us_sum,
+                     101.0 * params.read_latency_us +
+                         backoff_units * params.retry_backoff_base_us);
 }
 
 TEST(RemoteTier, HeavierLatencyTailThanNvm)
 {
-    RemoteTierParams params = small_remote(10000);
-    RemoteTier remote(params, 7);
+    RemoteTier remote(RemoteTierParams(), 7);
+    remote.grant_lease(0, 10000);
     NvmTierParams nvm_params;
     nvm_params.capacity_pages = 10000;
     NvmTier nvm(nvm_params, 7);
@@ -136,11 +157,18 @@ TEST(RemoteMachine, DonorFailureKillsAndReports)
     MachineConfig config;
     config.dram_pages = 128ull * kMiB / kPageSize;
     config.compression = CompressionMode::kModeled;
-    config.remote.capacity_pages = 1 << 20;
-    config.remote_donor_failures_per_hour = 60.0;  // every minute-ish
+    TierConfig remote;
+    remote.kind = TierKind::kRemote;
+    remote.band_hi = 4.0;
+    config.tiers = {remote};
+    config.fault.enabled = true;
+    config.fault.donor_failure_prob = 0.05;
     Machine machine(0, config, 3);
-    ASSERT_LT(machine.tiers().find(TierKind::kRemote),
-              machine.tiers().size());
+    ASSERT_NE(machine.remote_tier(), nullptr);
+    // Eight donors; a crashed one is replaced by a fresh lease.
+    std::uint32_t next_lease = 0;
+    for (; next_lease < 8; ++next_lease)
+        machine.remote_tier()->grant_lease(next_lease, 1 << 17);
     machine.add_job(std::make_unique<Job>(1, profile_by_name("logs"), 7,
                                           0));
     machine.add_job(std::make_unique<Job>(2, profile_by_name("kv_cache"),
@@ -150,19 +178,14 @@ TEST(RemoteMachine, DonorFailureKillsAndReports)
         MachineStepResult result = machine.step(now);
         failures += result.donor_failures;
         evicted += result.evicted.size();
+        std::size_t crashed =
+            machine.remote_tier()->take_dead_leases().size();
+        for (; crashed > 0; --crashed)
+            machine.remote_tier()->grant_lease(next_lease++, 1 << 17);
     }
     EXPECT_GT(failures, 0u);
     // At least one failure hit a donor holding pages, killing jobs.
     EXPECT_GT(evicted, 0u);
-}
-
-TEST(RemoteMachine, MutuallyExclusiveWithNvm)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    MachineConfig config;
-    config.nvm.capacity_pages = 100;
-    config.remote.capacity_pages = 100;
-    EXPECT_DEATH({ Machine machine(0, config, 3); }, "assertion failed");
 }
 
 }  // namespace

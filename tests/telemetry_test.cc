@@ -278,10 +278,12 @@ TEST(TelemetryExporterTest, SummaryTableListsEveryMetric)
 // Each run below exports one JSONL frame per step for 30 steps. The
 // pinned values were captured from the build that still recorded
 // these metrics a second time in per-machine metric registries; the
-// stats-backed collectors reproduce them bit for bit. Two digests
-// per run: the frame text byte for byte, and every snapshot exactly
-// (gauges and histogram sums by bit pattern, which %.6g in the
-// frames would round away).
+// stats-backed collectors reproduce them bit for bit. The two
+// over-committed machine runs were re-pinned when their static donor
+// pool became leases and their tier.remote.* rows appeared. Two
+// digests per run: the frame text byte for byte, and every snapshot
+// exactly (gauges and histogram sums by bit pattern, which %.6g in
+// the frames would round away).
 
 /** Digest of a frame stream's text, byte by byte. */
 std::uint64_t
@@ -441,18 +443,23 @@ run_fleet_frames(const FleetConfig &config, bool propose)
 }
 
 /**
- * One machine over-committed by a third at t=0, on a static remote
- * tier with donor failures: OOM evictions and fault kills both land,
- * so machine.evictions (OOM only) and fault.jobs_killed part ways.
- * @p reactive swaps proactive reclaim for direct reclaim.
+ * One machine over-committed by a third at t=0, on a remote tier of
+ * eight donors' leases with donor failures: OOM evictions and fault
+ * kills both land, so machine.evictions (OOM only) and
+ * fault.jobs_killed part ways. A crashed donor's lease is replaced
+ * after the step. @p reactive swaps proactive reclaim for direct
+ * reclaim.
  */
 FrameRun
 run_overcommitted_machine_frames(bool reactive)
 {
     MachineConfig config;
     config.dram_pages = 24 * 1024;
-    config.remote.capacity_pages = 1ull << 16;
-    config.tier_breaker_enabled = true;
+    TierConfig remote;
+    remote.kind = TierKind::kRemote;
+    remote.band_hi = 4.0;
+    remote.breaker_enabled = true;
+    config.tiers = {remote};
     config.fault.enabled = true;
     config.fault.donor_failure_prob = 0.3;
     config.fault.remote_degrade_prob = 0.1;
@@ -460,6 +467,9 @@ run_overcommitted_machine_frames(bool reactive)
         config.policy = FarMemoryPolicy::kReactive;
 
     Machine machine(0, config, 3);
+    std::uint32_t next_lease = 0;
+    for (; next_lease < 8; ++next_lease)
+        machine.remote_tier()->grant_lease(next_lease, 1 << 13);
     machine.add_job(std::make_unique<Job>(
         1, profile_by_name("web_frontend"), 11, 0));
     for (JobId id = 2; machine.resident_pages() < config.dram_pages + 8192;
@@ -476,6 +486,10 @@ run_overcommitted_machine_frames(bool reactive)
     for (int i = 0; i < 30; ++i) {
         machine.step(now);
         now += config.control_period;
+        std::size_t crashed =
+            machine.remote_tier()->take_dead_leases().size();
+        for (; crashed > 0; --crashed)
+            machine.remote_tier()->grant_lease(next_lease++, 1 << 13);
         MetricsSnapshot snap = machine.telemetry_snapshot();
         exporter.write_frame(now, snap);
         mix_snapshot(exact, snap);
@@ -504,16 +518,16 @@ TEST(TelemetryFramesTest, OvercommittedMachineMatchesPinnedFrames)
 {
     FrameRun run = run_overcommitted_machine_frames(false);
     EXPECT_EQ(run.frames, 30u);
-    EXPECT_EQ(run.text, 0x87f0fe504eb1e13dULL);
-    EXPECT_EQ(run.exact, 0xc06982c939d8501bULL);
+    EXPECT_EQ(run.text, 0x0b0d2ce054a22e03ULL);
+    EXPECT_EQ(run.exact, 0x163b8c02650bde2bULL);
 }
 
 TEST(TelemetryFramesTest, ReactiveMachineMatchesPinnedFrames)
 {
     FrameRun run = run_overcommitted_machine_frames(true);
     EXPECT_EQ(run.frames, 30u);
-    EXPECT_EQ(run.text, 0xc46451f5f99d53dcULL);
-    EXPECT_EQ(run.exact, 0x627532f61cf19f2eULL);
+    EXPECT_EQ(run.text, 0x6b896c07a4a733fcULL);
+    EXPECT_EQ(run.exact, 0x02d00af300eb5adfULL);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <algorithm>
 
 #include "ckpt/checkpoint.h"
+#include "core/far_memory_system.h"
 #include "mem/kreclaimd.h"
 #include "mem/kstaled.h"
 #include "mem/memcg.h"
@@ -32,14 +33,6 @@ small_nvm(std::uint64_t capacity)
     return params;
 }
 
-RemoteTierParams
-small_remote(std::uint64_t capacity)
-{
-    RemoteTierParams params;
-    params.capacity_pages = capacity;
-    return params;
-}
-
 /**
  * A borrowed three-tier stack: zswap at index 0, NVM claiming ages in
  * [T, 4T), remote memory claiming [4T, 16T), everything colder falls
@@ -52,8 +45,9 @@ struct Rig
                  ContentMix mix = ContentMix(0.0, 0.0, 1.0, 0.0, 0.0))
         : compressor(make_compressor(CompressionMode::kModeled)),
           zswap(compressor.get(), 1), nvm(small_nvm(1 << 16), 2),
-          remote(small_remote(1 << 16), 3), cg(1, pages, 42, mix, 0)
+          remote(RemoteTierParams(), 3), cg(1, pages, 42, mix, 0)
     {
+        remote.grant_lease(0, 1 << 16);
         TierSpec base;
         base.label = "zswap";
         stack.set_base(base, &zswap);
@@ -103,12 +97,20 @@ three_tier_config()
     nvm.band_hi = 2.0;
     TierConfig remote;
     remote.kind = TierKind::kRemote;
-    remote.remote.capacity_pages = 1 << 18;
     remote.band_lo = 2.0;
     remote.band_hi = 0.0;  // unbounded: remote takes the deep cold
     remote.breaker_enabled = true;
     config.tiers = {nvm, remote};
     return config;
+}
+
+/** What a standalone machine's remote tier gets in place of a broker:
+ *  one lease 0 of 2^18 pages. */
+void
+grant_remote(Machine &machine)
+{
+    ASSERT_NE(machine.remote_tier(), nullptr);
+    machine.remote_tier()->grant_lease(0, 1 << 18);
 }
 
 TEST(ThreeTierStack, WiringAndLookup)
@@ -167,6 +169,7 @@ TEST(ThreeTierStack, MachineDigestMixesEveryDeepTier)
 {
     MachineConfig config = three_tier_config();
     Machine machine(0, config, 3);
+    grant_remote(machine);
     ASSERT_EQ(machine.tiers().deep_size(), 2u);
     std::uint64_t before = machine.state_digest();
 
@@ -186,6 +189,7 @@ TEST(ThreeTierMachine, EndToEndFillsBothDeepTiers)
     MachineConfig config = three_tier_config();
     config.compression = CompressionMode::kModeled;
     Machine machine(0, config, 3);
+    grant_remote(machine);
     machine.add_job(std::make_unique<Job>(1, profile_by_name("kv_cache"),
                                           7, 0));
     machine.add_job(std::make_unique<Job>(2, profile_by_name("logs"),
@@ -225,7 +229,7 @@ TEST(ThreeTierMachine, EndToEndFillsBothDeepTiers)
     EXPECT_EQ(machine.far_memory_pages(),
               machine.zswap_stored_pages() + machine.tier_stored_pages());
 
-    // Explicit stacks export per-tier telemetry under tier.<label>.*.
+    // Every deep tier exports telemetry under tier.<label>.*.
     MetricsSnapshot snap = machine.telemetry_snapshot();
     EXPECT_GT(snap.counters.at("tier.nvm.demotions"), 0u);
     EXPECT_GT(snap.counters.at("tier.remote.demotions"), 0u);
@@ -240,6 +244,7 @@ TEST(ThreeTierMachine, CheckpointRoundTripTrajectoryEqual)
 {
     MachineConfig config = three_tier_config();
     Machine a(0, config, 11);
+    grant_remote(a);
     a.add_job(std::make_unique<Job>(1, profile_by_name("kv_cache"), 100,
                                     0));
     a.add_job(std::make_unique<Job>(2, profile_by_name("web_frontend"),
@@ -282,6 +287,7 @@ TEST(ThreeTierMachine, DonorFailureAtDepthThreeKillsOwningJob)
 {
     MachineConfig config = three_tier_config();
     Machine machine(0, config, 7);
+    grant_remote(machine);
     machine.add_job(std::make_unique<Job>(1, profile_by_name("kv_cache"),
                                           9, 0));
     Job *job = machine.find_job(1);
@@ -295,19 +301,103 @@ TEST(ThreeTierMachine, DonorFailureAtDepthThreeKillsOwningJob)
         ASSERT_TRUE(remote->store(job->memcg(), p));
     ASSERT_EQ(remote->used_pages(), 10u);
 
-    // Round-robin placement puts pages on donor 0; its failure loses
-    // them and kills the owning job, which drops the survivors too.
+    // The pages sit under lease 0; its donor's failure loses them and
+    // kills the owning job.
     std::vector<JobId> victims = machine.fail_donor(0);
     ASSERT_EQ(victims.size(), 1u);
     EXPECT_EQ(victims[0], 1u);
     EXPECT_EQ(machine.find_job(1), nullptr);
     EXPECT_EQ(remote->used_pages(), 0u);
-    EXPECT_GE(remote->stats().pages_lost, 1u);
+    EXPECT_EQ(remote->stats().pages_lost, 10u);
     EXPECT_EQ(remote->stats().donor_failures, 1u);
 
     // The machine stays consistent and steppable afterwards.
     machine.step(0);
     EXPECT_EQ(machine.tier_stored_pages(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Single-tier configs: pinned digests
+// ---------------------------------------------------------------------
+
+/** A machine with an NVM tier in the band [T, 4T) under a breaker,
+ *  with media errors and latency spikes tripping it. */
+MachineConfig
+breaker_nvm_machine()
+{
+    MachineConfig config;
+    config.dram_pages = 32 * 1024;
+    TierConfig nvm;
+    nvm.kind = TierKind::kNvm;
+    nvm.label = "nvm";
+    nvm.nvm.capacity_pages = 2048;
+    nvm.band_lo = 1.0;
+    nvm.band_hi = 4.0;
+    nvm.breaker_enabled = true;
+    config.tiers = {nvm};
+    config.fault.enabled = true;
+    config.fault.nvm_media_error_prob = 0.1;
+    config.fault.nvm_latency_spike_prob = 0.05;
+    return config;
+}
+
+/** abl_pooling's lease fleet: one lease-backed remote tier in the
+ *  band [T, 4T) under a breaker, with donor crashes. */
+FleetConfig
+lease_fleet()
+{
+    FleetConfig config;
+    config.seed = 57;
+    config.num_clusters = 1;
+    config.cluster.mix = typical_fleet_mix();
+    config.cluster.num_machines = 8;
+    config.cluster.machine.dram_pages = 64 * 1024;
+    TierConfig remote;
+    remote.kind = TierKind::kRemote;
+    remote.label = "remote";
+    remote.band_lo = 1.0;
+    remote.band_hi = 4.0;
+    remote.breaker_enabled = true;
+    config.cluster.machine.tiers = {remote};
+    config.cluster.machine.fault.enabled = true;
+    config.cluster.machine.fault.donor_failure_prob = 0.005;
+    MemPoolParams &pool = config.cluster.pool;
+    pool.enabled = true;
+    pool.lease_pages = 2048;
+    pool.max_leases_per_borrower = 4;
+    pool.lease_term_periods = 30;
+    pool.grace_periods = 3;
+    pool.drain_pages_per_period = 1024;
+    pool.donor_reserve_frac = 0.08;
+    return config;
+}
+
+// The digests after populate and after N steps of both configs. They
+// were captured on the build that still derived these one-tier stacks
+// from MachineConfig's single-tier NVM, remote and tier-breaker
+// fields; the explicit stacks must reproduce them.
+TEST(SingleTierConfig, MatchesPinnedDigests)
+{
+    Machine machine(0, breaker_nvm_machine(), 5);
+    machine.add_job(std::make_unique<Job>(1, profile_by_name("kv_cache"),
+                                          21, 0));
+    machine.add_job(std::make_unique<Job>(2, profile_by_name("logs"),
+                                          22, 0));
+    machine.add_job(std::make_unique<Job>(
+        3, profile_by_name("web_frontend"), 23, 0));
+    EXPECT_EQ(machine.state_digest(), 0xc628247c24ccfd01ULL);
+    for (SimTime now = 0; now < 2 * kHour; now += kMinute)
+        machine.step(now);
+    EXPECT_GT(machine.tier_breaker().stats().opens, 0u);
+    EXPECT_EQ(machine.state_digest(), 0x79d167461dd5ae5aULL);
+
+    FarMemorySystem fleet(lease_fleet());
+    fleet.populate();
+    EXPECT_EQ(fleet.state_digest(), 0x2380b095d5527c6dULL);
+    for (int i = 0; i < 60; ++i)
+        fleet.step();
+    EXPECT_GT(fleet.fault_report().pool_leases_granted, 0u);
+    EXPECT_EQ(fleet.state_digest(), 0x0e30a2d07707fc5aULL);
 }
 
 }  // namespace

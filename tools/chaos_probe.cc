@@ -10,19 +10,22 @@
 // fault-free fleet.
 //
 // Usage: chaos_probe [--minutes N] [--clusters N] [--seed S]
-//                    [--tiers 1|2|3] [--pooling] [--donor-fph F]
-//                    [--corrupt P] [--degrade P] [--agent-crash P]
+//                    [--tiers 1|2|3] [--pooling] [--rollout]
+//                    [--rollout-bad] [--donor-fph F] [--corrupt P]
+//                    [--degrade P] [--agent-crash P]
 //
-// --tiers picks the memory stack: 1 = zswap only, 2 = the legacy
-// remote tier (default; bit-identical to the pre-flag probe), 3 = an
-// explicit NVM + remote TierStack so the fault plane fires against
-// every depth at once.
+// --tiers picks the memory stack: 1 = zswap only, 2 = one remote
+// tier (default), 3 = an NVM + remote stack so the fault plane fires
+// against every depth at once. A remote tier holds leases from the
+// cluster's memory broker; without --pooling they are permanent (a
+// static donor pool: never revoked, lost only with their donor), and
+// the table ends with the pool.* rows and the pages the remote tier
+// stored.
 //
-// --pooling (tiers 2 and 3 only) swaps the static remote tier for
-// lease-based cluster memory pooling and lights up the broker fault
-// kinds (lease-grant loss, revocation-message loss, broker stalls),
-// adding the pool.* recovery rows to the table. Off by default; with
-// the flag absent the run is bit-identical to the pre-pooling probe.
+// --pooling (tiers 2 and 3 only) makes the leases revocable -- short
+// terms, a donor reserve, grace-window drains -- and lights up the
+// broker fault kinds (lease-grant loss, revocation-message loss,
+// broker stalls).
 //
 // --rollout exercises the staged-config-rollout good path end to end:
 // the rollout plane is enabled with every config-push fault kind lit
@@ -35,9 +38,11 @@
 // *config* (canary regresses against its own baseline).
 //
 // --rollout-bad exercises the guardrail/rollback path: the machine
-// fault plane is off and job churn is zero so machines are fully
-// independent, two identically-seeded fleets run side by side, and
-// the GP-Bandit autotuner is run over the fleet's own telemetry with
+// fault plane is off, job churn is zero and, whatever --tiers says,
+// the stack is one NVM tier with no remote tier (leases would couple
+// donors to borrowers), so machines are fully independent. Two
+// identically-seeded fleets run side by side, and the GP-Bandit
+// autotuner is run over the fleet's own telemetry with
 // deliberately rigged search ranges (K floor in the 50s, S capped at
 // two minutes, feasibility margin wide open) so it returns an
 // SLO-violating config. That config is proposed on one fleet only;
@@ -107,9 +112,18 @@ run_rollout_bad(FleetConfig config, SimTime minutes, std::uint64_t seed)
     // Machines must be fully independent for the blast-radius check:
     // no machine faults (donor selection couples machines), no churn
     // (placement of a replacement job depends on every machine's free
-    // DRAM), no pooling (leases couple donors to borrowers).
+    // DRAM), no remote tier (its leases couple donors to borrowers).
+    // A roomy NVM tier claims the remote tier's [T, 4T) band instead,
+    // so zswap keeps only the deep cold and the canaries' promotion
+    // tail has a quiet baseline to regress against.
     config.cluster.machine.fault = FaultConfig{};
     config.cluster.churn_per_hour = 0.0;
+    TierConfig nvm;
+    nvm.kind = TierKind::kNvm;
+    nvm.nvm.capacity_pages = 1ull << 20;
+    nvm.band_hi = 4.0;
+    nvm.breaker_enabled = true;
+    config.cluster.machine.tiers = {nvm};
     // Every machine must host jobs: the guardrails can only judge a
     // canary by its own workload's telemetry, and the chaos fleet's
     // small machines leave some machines empty -- an empty canary can
@@ -311,10 +325,10 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // Small fleet with the remote tier enabled so donor failures and
-    // tier degradation have something to break; the tier and SLO
-    // breakers are on so the degradation machinery (not just the
-    // injector) is exercised.
+    // Small fleet with a remote tier so donor failures and tier
+    // degradation have something to break; the tier and SLO breakers
+    // are on so the degradation machinery (not just the injector) is
+    // exercised.
     FleetConfig config;
     config.seed = seed;
     config.num_clusters = num_clusters;
@@ -322,30 +336,23 @@ main(int argc, char **argv)
     config.cluster.num_machines = 4;
     config.cluster.machine.dram_pages = 16 * 1024;
     config.cluster.machine.slo_breaker_enabled = true;
-    if (tiers == 1) {
-        // zswap only: donor/remote faults become no-ops by design.
-    } else if (tiers == 2) {
-        // Pooled remote capacity comes from granted leases, not a
-        // static budget; the Cluster constructor marks the tier.
-        if (!pooling)
-            config.cluster.machine.remote.capacity_pages = 1ull << 20;
-        config.cluster.machine.tier_breaker_enabled = true;
-    } else {
-        // Explicit three-tier stack: NVM takes the moderately cold
-        // band, remote memory everything colder, zswap the rejects.
+    TierConfig remote;
+    remote.kind = TierKind::kRemote;
+    remote.breaker_enabled = true;
+    if (tiers == 2) {
+        // One remote tier for the ages in [T, 4T).
+        remote.band_hi = 4.0;
+        config.cluster.machine.tiers = {remote};
+    } else if (tiers == 3) {
+        // NVM takes the moderately cold band, remote memory everything
+        // colder, zswap the rejects.
         TierConfig nvm;
         nvm.kind = TierKind::kNvm;
         nvm.nvm.capacity_pages = 1ull << 16;
         nvm.band_lo = 1.0;
         nvm.band_hi = 2.0;
         nvm.breaker_enabled = true;
-        TierConfig remote;
-        remote.kind = TierKind::kRemote;
-        if (!pooling)
-            remote.remote.capacity_pages = 1ull << 20;
         remote.band_lo = 2.0;
-        remote.band_hi = 0.0;
-        remote.breaker_enabled = true;
         config.cluster.machine.tiers = {nvm, remote};
     }
 
@@ -374,13 +381,14 @@ main(int argc, char **argv)
         rollout.fault.config_split_brain_prob = 0.20;
     }
 
+    if (tiers > 1) {
+        // Leases scaled to the 16k-page machines above.
+        config.cluster.pool = permanent_lease_pool(1024, 2);
+    }
     if (pooling) {
+        // Revocable: leases circulate, expire, and get revoked inside
+        // a one-hour chaos run.
         MemPoolParams &pool = config.cluster.pool;
-        pool.enabled = true;
-        // Scaled to the 16k-page machines above so leases circulate,
-        // expire, and get revoked inside a one-hour chaos run.
-        pool.lease_pages = 1024;
-        pool.max_leases_per_borrower = 2;
         pool.lease_term_periods = 20;
         pool.grace_periods = 2;
         pool.drain_pages_per_period = 512;
@@ -439,7 +447,7 @@ main(int argc, char **argv)
         static_cast<long long>(report.agent_restarts))});
     table.add_row({"slo breaker trips", fmt_int(
         static_cast<long long>(report.slo_breaker_trips))});
-    if (pooling) {
+    if (tiers > 1) {
         table.add_row({"pool leases granted", fmt_int(
             static_cast<long long>(report.pool_leases_granted))});
         table.add_row({"pool grants aborted", fmt_int(
@@ -454,6 +462,9 @@ main(int argc, char **argv)
             static_cast<long long>(report.pool_broker_stalls))});
         table.add_row({"pool breaker opens", fmt_int(
             static_cast<long long>(report.pool_breaker_opens))});
+        table.add_row({"remote tier stores (pages)", fmt_int(
+            static_cast<long long>(system.fleet_telemetry().counter_or_zero(
+                "tier.remote.demotions")))});
     }
     if (rollout_good)
         print_rollout_rows(table, report);

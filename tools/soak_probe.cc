@@ -19,18 +19,19 @@
 //                   [--tiers 1|2|3] [--pooling] [--min-crashes N]
 //                   [--ckpt PATH]
 //
-// --tiers picks the victim's memory stack: 1 = zswap only, 2 = the
-// legacy remote tier (default; bit-identical to the pre-flag probe),
-// 3 = an explicit NVM + remote TierStack so kill/resume covers the
-// per-tier checkpoint sections at every depth.
+// --tiers picks the victim's memory stack: 1 = zswap only, 2 = one
+// remote tier (default), 3 = an NVM + remote stack so kill/resume
+// covers the per-tier checkpoint sections at every depth. A remote
+// tier holds leases from the cluster's memory broker, whose lease
+// table and breaker bank ride in their own checkpoint section;
+// without --pooling the leases are permanent (a static donor pool:
+// never revoked, lost only with their donor).
 //
-// --pooling replaces the static remote tier with lease-based cluster
-// memory pooling (tiers 2 and 3 only): the broker's lease table and
-// breaker bank ride in their own checkpoint section, and the broker
-// fault kinds (grant loss, revocation loss, broker stall) fire
-// alongside the machine fault plane, so kill/resume lands
-// mid-revocation and mid-grant. Off by default; with the flag absent
-// the run is bit-identical to the pre-pooling probe.
+// --pooling (tiers 2 and 3 only) makes the leases revocable -- short
+// terms, a donor reserve, grace-window drains -- and fires the broker
+// fault kinds (grant loss, revocation loss, broker stall) alongside
+// the machine fault plane, so kill/resume lands mid-revocation and
+// mid-grant.
 //
 // --rollout enables the staged-config-rollout plane with the config
 // push fault kinds (push loss, stall, split brain) lit, and proposes
@@ -81,13 +82,12 @@ soak_config(std::uint32_t num_clusters, std::uint64_t seed, int tiers,
     config.cluster.num_machines = 4;
     config.cluster.machine.dram_pages = 16 * 1024;
     config.cluster.machine.slo_breaker_enabled = true;
+    TierConfig remote;
+    remote.kind = TierKind::kRemote;
+    remote.breaker_enabled = true;
     if (tiers == 2) {
-        // With pooling the remote tier is purely lease-backed: the
-        // Cluster constructor marks it pooled, and capacity comes
-        // from granted leases rather than a static budget.
-        if (!pooling)
-            config.cluster.machine.remote.capacity_pages = 1ull << 20;
-        config.cluster.machine.tier_breaker_enabled = true;
+        remote.band_hi = 4.0;
+        config.cluster.machine.tiers = {remote};
     } else if (tiers == 3) {
         TierConfig nvm;
         nvm.kind = TierKind::kNvm;
@@ -95,13 +95,7 @@ soak_config(std::uint32_t num_clusters, std::uint64_t seed, int tiers,
         nvm.band_lo = 1.0;
         nvm.band_hi = 2.0;
         nvm.breaker_enabled = true;
-        TierConfig remote;
-        remote.kind = TierKind::kRemote;
-        if (!pooling)
-            remote.remote.capacity_pages = 1ull << 20;
         remote.band_lo = 2.0;
-        remote.band_hi = 0.0;
-        remote.breaker_enabled = true;
         config.cluster.machine.tiers = {nvm, remote};
     }
 
@@ -113,15 +107,15 @@ soak_config(std::uint32_t num_clusters, std::uint64_t seed, int tiers,
     fault.remote_degrade_prob = 0.05;
     fault.agent_crash_prob = 0.01;
 
-    if (pooling) {
-        MemPoolParams &pool = config.cluster.pool;
-        pool.enabled = true;
+    if (tiers > 1) {
         // Scaled to the 16k-page machines above: leases small enough
-        // that several circulate per borrower, terms short enough
-        // that natural expiry and donor-pressure revocation both
-        // happen inside a 30-minute soak.
-        pool.lease_pages = 1024;
-        pool.max_leases_per_borrower = 2;
+        // that several circulate per borrower.
+        config.cluster.pool = permanent_lease_pool(1024, 2);
+    }
+    if (pooling) {
+        // Terms short enough that natural expiry and donor-pressure
+        // revocation both happen inside a 30-minute soak.
+        MemPoolParams &pool = config.cluster.pool;
         pool.lease_term_periods = 20;
         pool.grace_periods = 2;
         pool.drain_pages_per_period = 512;
@@ -316,7 +310,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(crashes),
                 static_cast<unsigned long long>(mismatches),
                 static_cast<unsigned long long>(seed));
-    if (pooling) {
+    if (tiers > 1) {
         // Evidence the lease plane was actually exercised across the
         // kill/resume cycles, not just configured.
         FleetFaultReport report = victim->fault_report();
@@ -333,6 +327,10 @@ main(int argc, char **argv)
                         report.pool_forced_kills),
                     static_cast<unsigned long long>(
                         report.pool_broker_stalls));
+        std::printf("remote tier: %llu pages stored\n",
+                    static_cast<unsigned long long>(
+                        victim->fleet_telemetry().counter_or_zero(
+                            "tier.remote.demotions")));
     }
     if (mismatches != 0) {
         std::printf("FAIL: restore diverged from the reference run\n");
