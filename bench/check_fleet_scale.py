@@ -5,7 +5,9 @@ Usage: check_fleet_scale.py REPORT MACHINES
 
 Exits 0 when REPORT is strict JSON (no NaN or Infinity tokens), every
 number in it is finite, config.machines equals MACHINES, and
-measured.steps_per_sec is positive; otherwise prints why and exits 1.
+measured.steps_per_sec, measured.peak_rss_mb and
+measured.rss_bytes_per_page are positive; otherwise prints why and
+exits 1.
 """
 
 import json
@@ -37,10 +39,12 @@ def check(path, machines):
     if report["config"]["machines"] != machines:
         return (f"config.machines is {report['config']['machines']}, "
                 f"expected {machines}")
-    steps_per_sec = report["measured"]["steps_per_sec"]
-    if not steps_per_sec > 0:
-        return f"measured.steps_per_sec is {steps_per_sec}, expected > 0"
-    print(f"{path}: {machines} machines, {steps_per_sec} steps/s")
+    measured = report["measured"]
+    for key in ("steps_per_sec", "peak_rss_mb", "rss_bytes_per_page"):
+        if not measured[key] > 0:
+            return f"measured.{key} is {measured[key]}, expected > 0"
+    print(f"{path}: {machines} machines, {measured['steps_per_sec']} "
+          f"steps/s, {measured['rss_bytes_per_page']} B/page")
     return None
 
 

@@ -19,6 +19,8 @@
 #include <limits>
 #include <string>
 
+#include <sys/resource.h>
+
 #include "common.h"
 
 using namespace sdfm;
@@ -148,9 +150,6 @@ main(int argc, char **argv)
     // update, histogram delta) does not scale with pages, and tiny
     // jobs would let it mask the per-page walks under measurement.
     config.cluster.machine.dram_pages = 256ull * kMiB / kPageSize;
-    // Serial stepping: the bench measures per-page work, and this box
-    // may be single-core; thread-pool scheduling would only add noise.
-    config.serial_step = true;
 
     std::fprintf(stderr,
                  "fleet_scale: %u machines, %u clusters, "
@@ -158,6 +157,7 @@ main(int argc, char **argv)
                  machines, clusters, warmup_steps, timed_steps);
 
     FarMemorySystem system(config);
+    std::fprintf(stderr, "  %zu stepping workers\n", system.step_workers());
     system.populate();
     for (std::uint32_t i = 0; i < warmup_steps; ++i)
         system.step();
@@ -175,8 +175,17 @@ main(int argc, char **argv)
     auto pages = static_cast<std::uint64_t>(
         snap.gauge_or_zero("machine.resident_pages") +
         snap.gauge_or_zero("machine.far_memory_pages"));
-    std::fprintf(stderr, "  %.3f steps/s (%.1f ms/step)\n", steps_per_sec,
-                 ms_per_step);
+    // Peak RSS of the whole run (ru_maxrss is in KiB on Linux).
+    struct rusage usage;
+    getrusage(RUSAGE_SELF, &usage);
+    double peak_rss = static_cast<double>(usage.ru_maxrss) * 1024.0;
+    const double mib = 1024.0 * 1024.0;
+    double rss_per_page =
+        pages > 0 ? peak_rss / static_cast<double>(pages) : 0.0;
+    std::fprintf(stderr,
+                 "  %.3f steps/s (%.1f ms/step), peak RSS %.0f MiB "
+                 "(%.1f B/page)\n",
+                 steps_per_sec, ms_per_step, peak_rss / mib, rss_per_page);
 
     std::FILE *out = std::fopen(out_path.c_str(), "w");
     if (out == nullptr) {
@@ -186,7 +195,7 @@ main(int argc, char **argv)
     std::fprintf(out,
                  "{\n"
                  "  \"bench\": \"fleet_scale\",\n"
-                 "  \"schema_version\": 2,\n"
+                 "  \"schema_version\": 3,\n"
                  "  \"config\": {\n"
                  "    \"machines\": %u,\n"
                  "    \"clusters\": %u,\n"
@@ -194,20 +203,24 @@ main(int argc, char **argv)
                  "    \"pages\": %llu,\n"
                  "    \"warmup_steps\": %u,\n"
                  "    \"timed_steps\": %u,\n"
-                 "    \"seed\": %llu\n"
+                 "    \"seed\": %llu,\n"
+                 "    \"workers\": %zu\n"
                  "  },\n"
                  "  \"measured\": {\n"
                  "    \"steps_per_sec\": %.6f,\n"
                  "    \"ms_per_step\": %.3f,\n"
-                 "    \"accesses\": %llu\n"
+                 "    \"accesses\": %llu,\n"
+                 "    \"peak_rss_mb\": %.1f,\n"
+                 "    \"rss_bytes_per_page\": %.2f\n"
                  "  }\n"
                  "}\n",
                  machines, clusters,
                  static_cast<unsigned long long>(system.num_jobs()),
                  static_cast<unsigned long long>(pages), warmup_steps,
                  timed_steps, static_cast<unsigned long long>(seed),
-                 steps_per_sec, ms_per_step,
-                 static_cast<unsigned long long>(accesses));
+                 system.step_workers(), steps_per_sec, ms_per_step,
+                 static_cast<unsigned long long>(accesses),
+                 peak_rss / mib, rss_per_page);
     std::fclose(out);
     std::fprintf(stderr, "wrote %s\n", out_path.c_str());
     return 0;

@@ -59,10 +59,13 @@ class Compressor
     virtual CompressionResult compress_page(ContentClass cls,
                                             std::uint64_t seed) = 0;
 
+    /** Whether compress_page_bytes() can hand back payload bytes. */
+    virtual bool produces_payload_bytes() const { return false; }
+
     /**
      * Compress and hand back the payload bytes (for zswap's
      * store-payload mode). The modeled backend cannot produce bytes
-     * and returns false; callers fall back to size-only storage.
+     * and returns false (see produces_payload_bytes()).
      */
     virtual bool
     compress_page_bytes(ContentClass cls, std::uint64_t seed,
@@ -101,6 +104,8 @@ class RealCompressor : public Compressor
 
     CompressionResult compress_page(ContentClass cls,
                                     std::uint64_t seed) override;
+
+    bool produces_payload_bytes() const override { return true; }
 
     bool compress_page_bytes(ContentClass cls, std::uint64_t seed,
                              CompressionResult *result,

@@ -159,6 +159,13 @@ class FarMemorySystem
     /** Total jobs running. */
     std::uint64_t num_jobs() const;
 
+    /** Threads stepping the clusters (1 when stepped serially). */
+    std::size_t
+    step_workers() const
+    {
+        return pool_ ? pool_->num_threads() : 1;
+    }
+
     /** Merge every cluster's telemetry into one log. */
     TraceLog merged_trace() const;
 

@@ -1,6 +1,6 @@
 #include "mem/memcg.h"
 
-#include <algorithm>
+#include <limits>
 
 #include "mem/far_tier.h"
 #include "mem/tier_stack.h"
@@ -14,7 +14,7 @@ namespace sdfm {
 Memcg::Memcg(JobId id, std::uint32_t num_pages, std::uint64_t content_seed,
              const ContentMix &mix, SimTime start_time)
     : id_(id), content_seed_(content_seed), start_time_(start_time),
-      pages_(num_pages)
+      pages_(num_pages), far_slot_(num_pages, 0)
 {
     for (PageId p = 0; p < num_pages; ++p) {
         pages_.set_content(
@@ -99,39 +99,20 @@ Memcg::set_unevictable(PageId p, bool unevictable)
         pages_.clear(p, kPageUnevictable);
 }
 
-ZsHandle
-Memcg::zswap_handle(PageId p) const
-{
-    auto it = zswap_handles_.find(p);
-    return it == zswap_handles_.end() ? 0 : it->second;
-}
-
 void
 Memcg::set_zswap_handle(PageId p, ZsHandle h)
 {
     SDFM_ASSERT(h != 0);
-    auto [it, inserted] = zswap_handles_.emplace(p, h);
-    SDFM_ASSERT(inserted);
-}
-
-void
-Memcg::clear_zswap_handle(PageId p)
-{
-    std::size_t erased = zswap_handles_.erase(p);
-    SDFM_ASSERT(erased == 1);
+    SDFM_ASSERT(!pages_.in_far_memory(p));
+    far_slot_[p] = h;
 }
 
 std::vector<PageId>
 Memcg::zswap_page_ids() const
 {
     std::vector<PageId> ids;
-    ids.reserve(zswap_handles_.size());
-    // sdfm-lint: allow(unordered-iter) -- ids are sorted before they
-    // are returned, so teardown (drop_all) order is deterministic
-    // regardless of hash-map iteration order.
-    for (const auto &[p, h] : zswap_handles_)
-        ids.push_back(p);
-    std::sort(ids.begin(), ids.end());
+    ids.reserve(zswap_pages_);
+    pages_.for_each(kPageInZswap, [&](PageId p) { ids.push_back(p); });
     return ids;
 }
 
@@ -150,6 +131,7 @@ Memcg::note_loaded_from_zswap(PageId p)
 {
     SDFM_ASSERT(pages_.test(p, kPageInZswap));
     pages_.clear(p, kPageInZswap);
+    far_slot_[p] = 0;
     SDFM_ASSERT(zswap_pages_ > 0);
     --zswap_pages_;
     ++resident_pages_;
@@ -164,19 +146,7 @@ Memcg::note_stored_in_tier(PageId p, std::uint8_t tier_index)
     SDFM_ASSERT(resident_pages_ > 0);
     --resident_pages_;
     ++tier_pages_;
-    if (tier_index != 1 && page_tier_.empty()) {
-        // First store beyond index 1: materialize the per-page index.
-        // Every page already flagged lives at index 1 (the implicit
-        // value while the array was absent), including p itself, whose
-        // true index is written below.
-        page_tier_.assign(pages_.size(), 0);
-        for (PageId q = 0; q < num_pages(); ++q) {
-            if (pages_.test(q, kPageInFarTier))
-                page_tier_[q] = 1;
-        }
-    }
-    if (!page_tier_.empty())
-        page_tier_[p] = tier_index;
+    far_slot_[p] = tier_index;
 }
 
 void
@@ -184,11 +154,10 @@ Memcg::note_loaded_from_tier(PageId p)
 {
     SDFM_ASSERT(pages_.test(p, kPageInFarTier));
     pages_.clear(p, kPageInFarTier);
+    far_slot_[p] = 0;
     SDFM_ASSERT(tier_pages_ > 0);
     --tier_pages_;
     ++resident_pages_;
-    if (!page_tier_.empty())
-        page_tier_[p] = 0;
 }
 
 void
@@ -198,9 +167,8 @@ Memcg::check_invariants() const
         return;
 
     pages_.check_invariants();
-    SDFM_INVARIANT(page_tier_.empty() ||
-                       page_tier_.size() == pages_.size(),
-                   "the per-page tier index covers the address space");
+    SDFM_INVARIANT(far_slot_.size() == pages_.size(),
+                   "the far slots cover the address space");
     std::uint64_t in_zswap = 0;
     std::uint64_t in_tier = 0;
     for (PageId p = 0; p < num_pages(); ++p) {
@@ -214,22 +182,17 @@ Memcg::check_invariants() const
             SDFM_INVARIANT((flags & kPageIncompressible) == 0,
                            "incompressible-marked pages are never "
                            "stored in zswap");
-            SDFM_INVARIANT(zswap_handle(p) != 0,
+            SDFM_INVARIANT(far_slot_[p] != 0,
                            "every zswap-resident page has a handle");
+        } else if (flags & kPageInFarTier) {
+            ++in_tier;
+            SDFM_INVARIANT((flags & kPageUnevictable) == 0,
+                           "unevictable pages never reach far memory");
+            SDFM_INVARIANT(far_slot_[p] >= 1 && far_slot_[p] <= 255,
+                           "deep-tier residency is at index 1..255");
         } else {
-            SDFM_INVARIANT(zswap_handle(p) == 0,
-                           "only zswap-resident pages carry handles");
-            if (flags & kPageInFarTier) {
-                ++in_tier;
-                SDFM_INVARIANT((flags & kPageUnevictable) == 0,
-                               "unevictable pages never reach far "
-                               "memory");
-                SDFM_INVARIANT(tier_of(p) >= 1,
-                               "deep-tier residency is at index >= 1");
-            } else {
-                SDFM_INVARIANT(page_tier_.empty() || page_tier_[p] == 0,
-                               "the tier index is zeroed on promotion");
-            }
+            SDFM_INVARIANT(far_slot_[p] == 0,
+                           "resident pages have an empty far slot");
         }
         if (region_huge_.size() > region_of(p) &&
             region_huge_[region_of(p)]) {
@@ -245,8 +208,6 @@ Memcg::check_invariants() const
     SDFM_INVARIANT(resident_pages_ + zswap_pages_ + tier_pages_ ==
                        num_pages(),
                    "every page is resident or in exactly one far tier");
-    SDFM_INVARIANT(zswap_handles_.size() == zswap_pages_,
-                   "handle map holds exactly the zswap-resident pages");
 
     std::uint64_t huge = 0;
     for (bool h : region_huge_)
@@ -284,17 +245,12 @@ Memcg::state_digest() const
             d.mix(static_cast<std::uint64_t>(r));
     }
     pages_.state_digest(d);
-    // Per-page deep-tier indices, only once a page has lived beyond
-    // stack index 1 (the array is lazily allocated, so one-tier
-    // stacks mix nothing here and their digests are unchanged).
-    if (!page_tier_.empty()) {
-        for (PageId p = 0; p < num_pages(); ++p) {
-            if (pages_.test(p, kPageInFarTier) && page_tier_[p] > 1) {
-                d.mix(static_cast<std::uint64_t>(p) << 8 |
-                      page_tier_[p]);
-            }
-        }
-    }
+    // Deep-tier indices beyond 1, in page order (one-tier stacks mix
+    // nothing here).
+    pages_.for_each(kPageInFarTier, [&](PageId p) {
+        if (far_slot_[p] > 1)
+            d.mix(static_cast<std::uint64_t>(p) << 8 | far_slot_[p]);
+    });
     for (std::size_t b = 0; b < kAgeBuckets; ++b) {
         d.mix(cold_hist_.at(static_cast<AgeBucket>(b)));
         d.mix(promo_hist_.at(static_cast<AgeBucket>(b)));
@@ -319,19 +275,11 @@ Memcg::ckpt_save(Serializer &s) const
     // count, then per-page (age, flags, content, version) records.
     pages_.ckpt_save(s);
 
-    std::vector<std::pair<PageId, ZsHandle>> handles;
-    handles.reserve(zswap_handles_.size());
-    // sdfm-lint: allow(unordered-iter) -- extraction only; the pairs
-    // are sorted by page id before serialization so the wire bytes
-    // are independent of hash-map iteration order.
-    for (const auto &[p, h] : zswap_handles_)
-        handles.emplace_back(p, h);
-    std::sort(handles.begin(), handles.end());
-    s.put_u64(handles.size());
-    for (const auto &[p, h] : handles) {
+    s.put_u64(zswap_pages_);
+    pages_.for_each(kPageInZswap, [&](PageId p) {
         s.put_u32(p);
-        s.put_u64(h);
-    }
+        s.put_u64(far_slot_[p]);
+    });
 
     s.put_age_histogram(cold_hist_);
     s.put_age_histogram(promo_hist_);
@@ -346,20 +294,17 @@ Memcg::ckpt_save(Serializer &s) const
     for (std::size_t r = 0; r < region_huge_.size(); ++r)
         s.put_bool(region_huge_[r]);
 
-    // Deep-tier indices beyond the implicit 1, as sorted (page, index)
-    // pairs. Flagged pages absent from the list restore at index 1,
-    // so single-deep-tier checkpoints carry an empty list.
-    std::vector<std::pair<PageId, std::uint8_t>> deep;
-    if (!page_tier_.empty()) {
-        for (PageId p = 0; p < num_pages(); ++p) {
-            if (pages_.test(p, kPageInFarTier) && page_tier_[p] > 1)
-                deep.emplace_back(p, page_tier_[p]);
-        }
-    }
+    // Deep-tier indices beyond 1, as (page, index) pairs in page
+    // order; flagged pages absent from the list are at index 1.
+    std::vector<PageId> deep;
+    pages_.for_each(kPageInFarTier, [&](PageId p) {
+        if (far_slot_[p] > 1)
+            deep.push_back(p);
+    });
     s.put_u64(deep.size());
-    for (const auto &[p, index] : deep) {
+    for (PageId p : deep) {
         s.put_u32(p);
-        s.put_u8(index);
+        s.put_u8(static_cast<std::uint8_t>(far_slot_[p]));
     }
 
     ckpt_save_memcg_stats(s, stats_);
@@ -418,20 +363,22 @@ Memcg::ckpt_load(Deserializer &d)
         return false;
     std::size_t num = pages_.size();
 
-    zswap_handles_.clear();
+    far_slot_.assign(num, 0);
     std::size_t num_handles = d.get_size(num, 12);
-    if (!d.ok())
+    if (!d.ok() || num_handles != flagged_zswap)
         return false;
     PageId prev_page = 0;
     for (std::size_t i = 0; i < num_handles; ++i) {
         PageId p = d.get_u32();
-        ZsHandle h = d.get_u64();
-        if (!d.ok() || h == 0 || p >= num || (i > 0 && p <= prev_page))
+        std::uint64_t h = d.get_u64();
+        if (!d.ok() || h == 0 || h > std::numeric_limits<ZsHandle>::max() ||
+            p >= num || (i > 0 && p <= prev_page)) {
             return false;
+        }
         if (!pages_.test(p, kPageInZswap))
             return false;
         prev_page = p;
-        zswap_handles_.emplace(p, h);
+        far_slot_[p] = static_cast<ZsHandle>(h);
     }
 
     d.get_age_histogram(cold_hist_);
@@ -456,10 +403,9 @@ Memcg::ckpt_load(Deserializer &d)
             ++huge_count_;
     }
 
-    // Deep-tier indices beyond the implicit 1: an empty list leaves
-    // the lazy array unallocated, exactly the pre-save state of a
-    // single-deep-tier config.
-    page_tier_.clear();
+    // Deep-tier indices: listed pages at index >= 2, every other
+    // flagged page at index 1.
+    pages_.for_each(kPageInFarTier, [&](PageId p) { far_slot_[p] = 1; });
     std::size_t num_deep = d.get_size(flagged_tier, 5);
     if (!d.ok())
         return false;
@@ -473,14 +419,7 @@ Memcg::ckpt_load(Deserializer &d)
         }
         if (!pages_.test(p, kPageInFarTier))
             return false;
-        if (page_tier_.empty()) {
-            page_tier_.assign(num, 0);
-            for (PageId q = 0; q < num; ++q) {
-                if (pages_.test(q, kPageInFarTier))
-                    page_tier_[q] = 1;
-            }
-        }
-        page_tier_[p] = index;
+        far_slot_[p] = index;
         prev_deep = p;
     }
 
@@ -488,9 +427,8 @@ Memcg::ckpt_load(Deserializer &d)
         return false;
 
     // Residency counters must reconcile with the restored page flags
-    // and the handle map must cover exactly the zswap-flagged pages.
+    // (the handle list already covers exactly the zswap-flagged pages).
     if (zswap_pages_ != flagged_zswap || tier_pages_ != flagged_tier ||
-        zswap_handles_.size() != flagged_zswap ||
         resident_pages_ + zswap_pages_ + tier_pages_ != num) {
         return false;
     }
@@ -498,39 +436,27 @@ Memcg::ckpt_load(Deserializer &d)
 }
 
 std::vector<PageId>
-Memcg::tier_page_ids() const
-{
-    std::vector<PageId> ids;
-    for (PageId p = 0; p < num_pages(); ++p) {
-        if (pages_.test(p, kPageInFarTier))
-            ids.push_back(p);
-    }
-    return ids;
-}
-
-std::vector<PageId>
 Memcg::tier_page_ids(std::uint8_t tier_index) const
 {
     std::vector<PageId> ids;
-    for (PageId p = 0; p < num_pages(); ++p) {
-        if (pages_.test(p, kPageInFarTier) && tier_of(p) == tier_index)
+    pages_.for_each(kPageInFarTier, [&](PageId p) {
+        if (far_slot_[p] == tier_index)
             ids.push_back(p);
-    }
+    });
     return ids;
 }
 
 bool
 Memcg::add_tier_page_counts(std::vector<std::uint64_t> &counts) const
 {
-    for (PageId p = 0; p < num_pages(); ++p) {
-        if (!pages_.test(p, kPageInFarTier))
-            continue;
-        std::uint8_t index = tier_of(p);
-        if (index >= counts.size())
-            return false;
-        counts[index] += 1;
-    }
-    return true;
+    bool in_range = true;
+    pages_.for_each(kPageInFarTier, [&](PageId p) {
+        if (far_slot_[p] < counts.size())
+            counts[far_slot_[p]] += 1;
+        else
+            in_range = false;
+    });
+    return in_range;
 }
 
 }  // namespace sdfm

@@ -11,7 +11,6 @@
 #define SDFM_MEM_MEMCG_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "ckpt/checkpoint.h"
@@ -213,26 +212,19 @@ class Memcg : public Checkpointable
     /**
      * Adjust deep-tier residency counters (called by the tier on
      * store/load). @p tier_index is the storing tier's position in
-     * its TierStack (>= 1); the per-page index array is allocated
-     * lazily, only once a tier deeper than index 1 stores a page, so
-     * single-deep-tier configs pay nothing for it.
+     * its TierStack (>= 1); it becomes the page's far slot.
      */
     void note_stored_in_tier(PageId p, std::uint8_t tier_index);
     void note_loaded_from_tier(PageId p);
 
-    /**
-     * Stack index of the deep tier holding page @p p. Only meaningful
-     * while the page's kPageInFarTier flag is set.
-     */
+    /** Stack index of the deep tier holding page @p p, which must
+     *  have kPageInFarTier set. */
     std::uint8_t
     tier_of(PageId p) const
     {
         SDFM_ASSERT(pages_.test(p, kPageInFarTier));
-        return page_tier_.empty() ? std::uint8_t{1} : page_tier_[p];
+        return static_cast<std::uint8_t>(far_slot_[p]);
     }
-
-    /** Pages currently in any deep tier (for teardown). */
-    std::vector<PageId> tier_page_ids() const;
 
     /** Pages currently in the deep tier at @p tier_index. */
     std::vector<PageId> tier_page_ids(std::uint8_t tier_index) const;
@@ -301,12 +293,18 @@ class Memcg : public Checkpointable
 
     // -- bookkeeping used by Zswap ---------------------------------
 
-    /** zswap handle for a page (0 if not stored). */
-    ZsHandle zswap_handle(PageId p) const;
-    void set_zswap_handle(PageId p, ZsHandle h);
-    void clear_zswap_handle(PageId p);
+    /** zswap handle of page @p p, which must have kPageInZswap set. */
+    ZsHandle
+    zswap_handle(PageId p) const
+    {
+        SDFM_ASSERT(pages_.test(p, kPageInZswap));
+        return far_slot_[p];
+    }
 
-    /** Iterate pages currently in zswap (for teardown). */
+    /** Record the handle of a page about to enter zswap. */
+    void set_zswap_handle(PageId p, ZsHandle h);
+
+    /** Pages currently in zswap, in page order (for teardown). */
     std::vector<PageId> zswap_page_ids() const;
 
     /** Adjust residency counters (called by Zswap on store/load). */
@@ -318,7 +316,7 @@ class Memcg : public Checkpointable
 
     /**
      * Whole-cgroup consistency check (SDFM_INVARIANT tier): residency
-     * counters vs per-page flags, zswap-handle bookkeeping, cold-age
+     * counters vs per-page flags, far slots vs flags, cold-age
      * histogram coverage, huge-region accounting, and the
      * incompressible-mark contract. A no-op unless the build defines
      * SDFM_CHECK_INVARIANTS.
@@ -335,10 +333,11 @@ class Memcg : public Checkpointable
 
     /**
      * Checkpointable: snapshots the complete cgroup (identity,
-     * per-page metadata, zswap-handle map in sorted page order, both
-     * histograms, residency counters, agent knobs, huge-region
-     * bitmap, and cumulative stats). ckpt_load() cross-checks the
-     * residency counters against the restored page flags.
+     * per-page metadata, zswap handles and deep-tier indices >= 2 as
+     * (page, value) pairs in page order, both histograms, residency
+     * counters, agent knobs, huge-region bitmap, and cumulative
+     * stats). ckpt_load() cross-checks the residency counters against
+     * the restored page flags; the machine checks the handles.
      */
     void ckpt_save(Serializer &s) const override;
     bool ckpt_load(Deserializer &d) override;
@@ -354,22 +353,17 @@ class Memcg : public Checkpointable
     std::uint64_t content_seed_;
     SimTime start_time_;
     PageTable pages_;
-    // sdfm-state: derived(mirror of the arena entry table: per-page
-    // in-zswap flags and the arena alloc/free aggregates are both
-    // digested, so divergence here cannot hide)
-    std::unordered_map<PageId, ZsHandle> zswap_handles_;
+    /**
+     * Where each far page lives: its arena handle while kPageInZswap
+     * is set, the holding tier's stack index while kPageInFarTier is
+     * set, 0 while resident.
+     */
+    std::vector<std::uint32_t> far_slot_;
     AgeHistogram cold_hist_;
     AgeHistogram promo_hist_;
     std::uint64_t resident_pages_ = 0;
     std::uint64_t zswap_pages_ = 0;
     std::uint64_t tier_pages_ = 0;
-    /**
-     * Per-page deep-tier stack index; empty until some page is stored
-     * at index >= 2 (the common single-deep-tier case never allocates
-     * it). When allocated: 0 for pages not in a deep tier, else the
-     * holding tier's stack index.
-     */
-    std::vector<std::uint8_t> page_tier_;
     AgeBucket reclaim_threshold_ = 0;
     bool zswap_enabled_ = false;
     bool best_effort_ = false;

@@ -41,6 +41,7 @@
 #define SDFM_MEM_PAGE_TABLE_H
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -216,6 +217,21 @@ class PageTable
         SDFM_ASSERT(base < num_pages_);
         std::uint32_t rem = num_pages_ - base;
         return rem >= 64 ? ~0ULL : (1ULL << rem) - 1;
+    }
+
+    /** Call @p fn(p) for every page with flag @p f set, in page
+     *  order. @p fn must not change that flag. */
+    template <typename Fn>
+    void
+    for_each(PageFlag f, Fn &&fn) const
+    {
+        const std::vector<std::uint64_t> &words = bits(f);
+        for (std::size_t w = 0; w < words.size(); ++w) {
+            for (std::uint64_t m = words[w]; m != 0; m &= m - 1) {
+                fn(static_cast<PageId>(w * 64) +
+                   static_cast<PageId>(std::countr_zero(m)));
+            }
+        }
     }
 
     std::uint64_t *accessed_words() { return accessed_.data(); }

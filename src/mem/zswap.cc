@@ -1,7 +1,7 @@
 #include "mem/zswap.h"
 
-#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "compression/szo.h"
@@ -14,8 +14,9 @@ namespace sdfm {
 Zswap::Zswap(Compressor *compressor, std::uint64_t rng_seed,
              bool verify_roundtrip)
     : compressor_(compressor),
-      arena_(/*keep_payload_bytes=*/verify_roundtrip), rng_(rng_seed),
-      verify_roundtrip_(verify_roundtrip)
+      verify_roundtrip_(verify_roundtrip &&
+                        compressor->produces_payload_bytes()),
+      arena_(/*keep_payload_bytes=*/verify_roundtrip_), rng_(rng_seed)
 {
     SDFM_ASSERT(compressor_ != nullptr);
 }
@@ -30,18 +31,11 @@ Zswap::store(Memcg &cg, PageId p)
 
     CompressionResult result;
     std::vector<std::uint8_t> payload;
-    bool have_bytes = false;
     if (verify_roundtrip_) {
-        have_bytes = compressor_->compress_page_bytes(
+        bool have_bytes = compressor_->compress_page_bytes(
             content, cg.content_seed_of(p), &result, &payload);
-        if (!have_bytes) {
-            warn("zswap: verify_roundtrip requested but the "
-                 "compression backend cannot produce payload bytes; "
-                 "disabling verification");
-            verify_roundtrip_ = false;
-        }
-    }
-    if (!have_bytes) {
+        SDFM_ASSERT(have_bytes);
+    } else {
         result = compressor_->compress_page(content,
                                             cg.content_seed_of(p));
     }
@@ -61,11 +55,10 @@ Zswap::store(Memcg &cg, PageId p)
         return false;
     }
 
-    ZsHandle handle =
-        have_bytes ? arena_.store(result.compressed_size, payload.data())
-                   : arena_.store(result.compressed_size);
-    checksums_.emplace(handle, entry_checksum(cg.content_seed_of(p),
-                                              result.compressed_size));
+    ZsHandle handle = arena_.store(
+        result.compressed_size, verify_roundtrip_ ? payload.data() : nullptr);
+    arena_.set_tag(handle, entry_checksum(cg.content_seed_of(p),
+                                          result.compressed_size));
     cg.set_zswap_handle(p, handle);
     cg.note_stored_in_zswap(p);
     ++cg.stats().zswap_stores;
@@ -81,8 +74,6 @@ Zswap::load(Memcg &cg, PageId p)
 {
     SDFM_ASSERT(cg.page_test(p, kPageInZswap));
     ZsHandle handle = cg.zswap_handle(p);
-    SDFM_ASSERT(handle != 0);
-
     std::uint32_t payload_size = arena_.payload_size(handle);
     double cycles = compressor_->decompress_cycles(payload_size);
     cg.stats().decompress_cycles += cycles;
@@ -94,10 +85,8 @@ Zswap::load(Memcg &cg, PageId p)
     // entry is counted as poisoned and the page re-faults from
     // backing store instead of aborting the fleet (the contents are
     // regenerable; only the compressed copy was damaged).
-    auto ck = checksums_.find(handle);
-    SDFM_ASSERT(ck != checksums_.end());
-    bool poisoned =
-        ck->second != entry_checksum(cg.content_seed_of(p), payload_size);
+    bool poisoned = arena_.tag(handle) !=
+                    entry_checksum(cg.content_seed_of(p), payload_size);
     if (poisoned) {
         ++stats_.poisoned_entries;
         ++cg.stats().far_refaults;
@@ -108,31 +97,26 @@ Zswap::load(Memcg &cg, PageId p)
             kZswapRefaultLatencyUs * 2.6e3;
     }
 
-    if (verify_roundtrip_ && !poisoned) {
-        const std::uint8_t *stored = arena_.payload(handle);
-        if (stored != nullptr) {
-            // Decompress the stored payload for real and verify the
-            // bytes match the page's regenerated contents: the full
-            // zswap path exercises the codec end to end.
-            std::uint8_t decompressed[kPageSize];
-            std::size_t n = szo_decompress(stored, payload_size,
-                                           decompressed,
-                                           sizeof(decompressed));
-            SDFM_ASSERT(n == kPageSize);
-            std::uint8_t expected[kPageSize];
-            generate_page_content(cg.page_content(p),
-                                  cg.content_seed_of(p), expected);
-            SDFM_ASSERT(std::memcmp(decompressed, expected, kPageSize) ==
-                        0);
-            ++stats_.verified_roundtrips;
-        }
+    const std::uint8_t *stored =
+        verify_roundtrip_ && !poisoned ? arena_.payload(handle) : nullptr;
+    if (stored != nullptr) {
+        // Decompress the stored payload for real and verify the bytes
+        // match the page's regenerated contents: the full zswap path
+        // exercises the codec end to end.
+        std::uint8_t decompressed[kPageSize];
+        std::size_t n = szo_decompress(stored, payload_size, decompressed,
+                                       sizeof(decompressed));
+        SDFM_ASSERT(n == kPageSize);
+        std::uint8_t expected[kPageSize];
+        generate_page_content(cg.page_content(p), cg.content_seed_of(p),
+                              expected);
+        SDFM_ASSERT(std::memcmp(decompressed, expected, kPageSize) == 0);
+        ++stats_.verified_roundtrips;
     }
 
     SDFM_ASSERT(cg.stats().compressed_bytes_stored >= payload_size);
     cg.stats().compressed_bytes_stored -= payload_size;
-    checksums_.erase(ck);
     arena_.release(handle);
-    cg.clear_zswap_handle(p);
     cg.note_loaded_from_zswap(p);
     ++cg.stats().zswap_promotions;
     ++stats_.promotions;
@@ -157,21 +141,15 @@ Zswap::entry_checksum(std::uint64_t content_seed,
 bool
 Zswap::corrupt_entry(Rng &rng)
 {
-    if (checksums_.empty())
+    if (arena_.live_objects() == 0)
         return false;
-    // Pick the victim from a *sorted* handle list: selecting by
-    // position in the unordered map would make the corrupted entry --
-    // and with it the whole fault trajectory -- depend on hash-table
-    // iteration order, which varies across standard libraries.
-    std::vector<ZsHandle> handles;
-    handles.reserve(checksums_.size());
-    // sdfm-lint: allow(unordered-iter) -- keys are sorted before use,
-    // so the iteration order cannot leak into the trajectory.
-    for (const auto &[handle, checksum] : checksums_)
-        handles.push_back(handle);
-    std::sort(handles.begin(), handles.end());
-    ZsHandle victim = handles[rng.next_below(handles.size())];
-    checksums_[victim] ^= 0xDEADBEEFCAFEF00DULL;
+    // The victim is the k-th live handle in ascending order, so the
+    // fault trajectory depends only on which handles are live.
+    std::uint64_t k = rng.next_below(arena_.live_objects());
+    ZsHandle victim = 1;
+    while (!arena_.is_live(victim) || k-- > 0)
+        ++victim;
+    arena_.set_tag(victim, arena_.tag(victim) ^ 0xDEADBEEFCAFEF00DULL);
     ++stats_.corruptions_injected;
     return true;
 }
@@ -182,8 +160,6 @@ Zswap::check_invariants() const
     if constexpr (!kInvariantsEnabled)
         return;
     arena_.check_invariants();
-    SDFM_INVARIANT(checksums_.size() == arena_.live_objects(),
-                   "every live arena entry has one integrity checksum");
     SDFM_INVARIANT(stats_.stores >= stats_.promotions,
                    "promotions never exceed stores");
 }
@@ -193,13 +169,10 @@ Zswap::drop(Memcg &cg, PageId p)
 {
     SDFM_ASSERT(cg.page_test(p, kPageInZswap));
     ZsHandle handle = cg.zswap_handle(p);
-    SDFM_ASSERT(handle != 0);
     std::uint32_t payload = arena_.payload_size(handle);
     SDFM_ASSERT(cg.stats().compressed_bytes_stored >= payload);
     cg.stats().compressed_bytes_stored -= payload;
-    checksums_.erase(handle);
     arena_.release(handle);
-    cg.clear_zswap_handle(p);
     cg.note_loaded_from_zswap(p);
 }
 
@@ -226,18 +199,12 @@ Zswap::ckpt_save(Serializer &s) const
     s.put_rng(rng_);
     s.put_bool(verify_roundtrip_);
 
-    std::vector<std::pair<ZsHandle, std::uint64_t>> sums;
-    sums.reserve(checksums_.size());
-    // sdfm-lint: allow(unordered-iter) -- extraction only; sorted by
-    // handle before serialization so the wire bytes are independent
-    // of hash-map iteration order.
-    for (const auto &[handle, sum] : checksums_)
-        sums.emplace_back(handle, sum);
-    std::sort(sums.begin(), sums.end());
-    s.put_u64(sums.size());
-    for (const auto &[handle, sum] : sums) {
-        s.put_u64(handle);
-        s.put_u64(sum);
+    s.put_u64(arena_.live_objects());
+    for (ZsHandle h = 1; h < arena_.handle_limit(); ++h) {
+        if (arena_.is_live(h)) {
+            s.put_u64(h);
+            s.put_u64(arena_.tag(h));
+        }
     }
 }
 
@@ -261,20 +228,20 @@ Zswap::ckpt_load(Deserializer &d)
     if (!d.ok() || verify != verify_roundtrip_)
         return false;
 
-    checksums_.clear();
     std::size_t num = d.get_size(arena_.live_objects(), 16);
     if (!d.ok() || num != arena_.live_objects())
         return false;
-    ZsHandle prev = 0;
+    std::uint64_t prev = 0;
     for (std::size_t i = 0; i < num; ++i) {
-        ZsHandle handle = d.get_u64();
+        std::uint64_t handle = d.get_u64();
         std::uint64_t sum = d.get_u64();
-        if (!d.ok() || !arena_.is_live(handle) ||
+        if (!d.ok() || handle > std::numeric_limits<ZsHandle>::max() ||
+            !arena_.is_live(static_cast<ZsHandle>(handle)) ||
             (i > 0 && handle <= prev)) {
             return false;
         }
         prev = handle;
-        checksums_.emplace(handle, sum);
+        arena_.set_tag(static_cast<ZsHandle>(handle), sum);
     }
     return true;
 }

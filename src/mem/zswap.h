@@ -14,7 +14,6 @@
 #define SDFM_MEM_ZSWAP_H
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "compression/compressor.h"
 #include "mem/far_tier.h"
@@ -69,12 +68,12 @@ class Zswap : public FarTier
     /**
      * @param compressor Backend (real or modeled); not owned.
      * @param rng_seed Seed for decompression-latency jitter sampling.
-     * @param verify_roundtrip When true (and the backend can produce
-     *        payload bytes), compressed payloads are kept in the
-     *        arena and every promotion decompresses them for real and
+     * @param verify_roundtrip When true and the backend produces
+     *        payload bytes, compressed payloads are kept in the arena
+     *        and every promotion decompresses them for real and
      *        verifies the bytes against the regenerated page contents
      *        -- an end-to-end codec integrity check for tests and
-     *        qualification runs.
+     *        qualification runs. The modeled backend has no bytes.
      */
     Zswap(Compressor *compressor, std::uint64_t rng_seed = 1,
           bool verify_roundtrip = false);
@@ -146,21 +145,21 @@ class Zswap : public FarTier
     Compressor &compressor() { return *compressor_; }
 
     /**
-     * Whole-store consistency check (SDFM_INVARIANT tier): every live
-     * arena object has exactly one integrity checksum, and the arena's
-     * own accounting reconciles (ZsmallocArena::check_invariants). A
-     * no-op unless the build defines SDFM_CHECK_INVARIANTS.
+     * Whole-store consistency check (SDFM_INVARIANT tier): the arena's
+     * own accounting reconciles (ZsmallocArena::check_invariants) and
+     * promotions never outrun stores. A no-op unless the build defines
+     * SDFM_CHECK_INVARIANTS.
      */
     void check_invariants() const;
 
     /**
      * Checkpointable: snapshots the arena (entry table + size-class
-     * occupancy), the integrity-checksum table in ascending handle
-     * order, the latency-jitter RNG, the cumulative counters and the
-     * payload-size histogram. The compressor backend is
-     * reconstructed wiring, not state.
-     * ckpt_load() rejects checksum tables that do not cover exactly
-     * the live arena handles.
+     * occupancy), the cumulative counters, the payload-size
+     * histogram, the latency-jitter RNG, and each live handle's
+     * integrity checksum as (handle, checksum) pairs in ascending
+     * handle order. The compressor backend is reconstructed wiring,
+     * not state. ckpt_load() rejects checksum lists that do not cover
+     * exactly the live arena handles.
      */
     void ckpt_save(Serializer &s) const override;
     bool ckpt_load(Deserializer &d) override;
@@ -178,12 +177,12 @@ class Zswap : public FarTier
     // sdfm-state: rebuilt-on-resolve(borrowed stateless functor,
     // wired by the owning Machine at construction and after restore)
     Compressor *compressor_;
+    /** Requested, and the backend produces payload bytes. */
+    bool verify_roundtrip_;
+    /** Keeps bytes iff verify_roundtrip_; tags are the checksums. */
     ZsmallocArena arena_;
     ZswapStats stats_;
     Rng rng_;
-    bool verify_roundtrip_;
-    /** Per-entry integrity checksums, keyed by live arena handle. */
-    std::unordered_map<ZsHandle, std::uint64_t> checksums_;
 };
 
 }  // namespace sdfm

@@ -241,6 +241,9 @@ Machine::check_invariants() const
     tiers_.check_invariants();
     SDFM_INVARIANT(zswap_pages == zswap_->stored_pages(),
                    "per-job zswap residency sums to the store's count");
+    SDFM_INVARIANT(handles_match_arena(),
+                   "the jobs' zswap pages hold the live arena handles, "
+                   "each once");
     SDFM_INVARIANT(tiers_in_range,
                    "every tier-resident page names a configured tier");
     for (std::size_t i = 1; i < tiers_.size(); ++i) {
@@ -254,6 +257,26 @@ Machine::check_invariants() const
                        used_pages() - donated_pages_ <=
                            config_.dram_pages,
                    "post-step DRAM usage within capacity");
+}
+
+bool
+Machine::handles_match_arena() const
+{
+    const ZsmallocArena &arena = zswap_->arena();
+    std::vector<bool> claimed(arena.handle_limit(), false);
+    std::uint64_t pages = 0;
+    bool match = true;
+    for (const auto &job : jobs_) {
+        const Memcg &cg = job->memcg();
+        cg.pages().for_each(kPageInZswap, [&](PageId p) {
+            ZsHandle h = cg.zswap_handle(p);
+            match = match && arena.is_live(h) && !claimed[h];
+            if (match)
+                claimed[h] = true;
+            ++pages;
+        });
+    }
+    return match && pages == arena.live_objects();
 }
 
 std::uint64_t
@@ -793,7 +816,7 @@ Machine::ckpt_load(Deserializer &d)
         if (!job->memcg().add_tier_page_counts(tier_counts))
             return false;
     }
-    if (zswap_pages != zswap_->stored_pages())
+    if (zswap_pages != zswap_->stored_pages() || !handles_match_arena())
         return false;
     for (std::size_t i = 1; i < tiers_.size(); ++i) {
         if (tier_counts[i] != tiers_.tier(i).used_pages())

@@ -320,7 +320,8 @@ class Machine
      * job's cgroup reconciles (Memcg::check_invariants), the zswap
      * store and its arena reconcile, and the cross-structure sums
      * agree -- per-job zswap/NVM residency vs the store and tier
-     * counters, and DRAM capacity after pressure handling. Called at
+     * counters, the jobs' zswap handles vs the arena's live handles,
+     * and DRAM capacity after pressure handling. Called at
      * the end of every step(); a no-op unless the build defines
      * SDFM_CHECK_INVARIANTS.
      */
@@ -343,13 +344,17 @@ class Machine
      * ckpt_load() expects a freshly
      * constructed Machine with the identical MachineConfig; it
      * cross-checks the restored accounting (per-job far-memory
-     * residency vs store/tier occupancy, agent job membership, DRAM
-     * capacity) and returns false on any disagreement.
+     * residency vs store/tier occupancy, the jobs' zswap handles vs
+     * the arena's live handles, agent job membership, DRAM capacity)
+     * and returns false on any disagreement.
      */
     void ckpt_save(Serializer &s) const;
     bool ckpt_load(Deserializer &d);
 
   private:
+    /** The jobs' zswap pages claim the arena's live handles, each once. */
+    bool handles_match_arena() const;
+
     void handle_pressure(MachineStepResult *result);
     std::vector<Memcg *> memcgs();
 

@@ -1,7 +1,5 @@
 #include "node/node_agent.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 
 namespace sdfm {
@@ -233,17 +231,8 @@ NodeAgent::ckpt_save(Serializer &s) const
     s.put_u64(config_epoch_);
     stats_.ckpt_save(s);
 
-    std::vector<JobId> ids;
-    ids.reserve(jobs_.size());
-    // sdfm-lint: allow(unordered-iter) -- key extraction only; ids
-    // are sorted before serialization so the wire bytes are
-    // independent of hash-map iteration order.
-    for (const auto &[id, state] : jobs_)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    s.put_u64(ids.size());
-    for (JobId id : ids) {
-        const JobState &state = jobs_.at(id);
+    s.put_u64(jobs_.size());
+    for (const auto &[id, state] : jobs_) {
         s.put_u64(id);
         state.controller.ckpt_save(s);
         s.put_age_histogram(state.control_snapshot);
@@ -301,9 +290,6 @@ NodeAgent::set_slo(const SloConfig &slo)
     // under the old tunables would otherwise trip the breaker on the
     // first breach under the new ones, punishing a config for its
     // predecessor's behaviour.
-    // sdfm-lint: allow(unordered-iter) -- every controller receives
-    // the same SloConfig and controllers do not interact, so the
-    // visit order cannot affect any state.
     for (auto &[id, state] : jobs_) {
         state.controller.set_slo(slo);
         state.slo_breaker.reset_streak();

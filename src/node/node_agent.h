@@ -11,7 +11,7 @@
 #define SDFM_NODE_NODE_AGENT_H
 
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "fault/circuit_breaker.h"
@@ -194,7 +194,7 @@ class NodeAgent
      *  deployment. Survives crash_restart(): the agent process lost
      *  its controller state, not the config version it runs. */
     std::uint64_t config_epoch_ = 0;
-    std::unordered_map<JobId, JobState> jobs_;
+    std::map<JobId, JobState> jobs_;
 };
 
 }  // namespace sdfm

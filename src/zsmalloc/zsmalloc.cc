@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <limits>
 
 #include "util/invariant.h"
 #include "util/units.h"
@@ -18,6 +19,11 @@ constexpr std::uint32_t kMinAlloc = kClassDelta;
 constexpr std::uint32_t kMaxAlloc = kPageSize;
 constexpr std::uint32_t kNumClasses = kMaxAlloc / kClassDelta;
 constexpr std::uint32_t kMaxPagesPerZspage = 4;
+/** Largest handle: handles are u32 entry indices. */
+constexpr std::uint64_t kMaxHandle = std::numeric_limits<ZsHandle>::max();
+
+static_assert(kNumClasses <= 256, "class indices fit the entry's u8");
+static_assert(kMaxAlloc <= 65535, "payload sizes fit the entry's u16");
 
 /** Pick pages-per-zspage minimizing tail waste (like the kernel). */
 std::uint32_t
@@ -50,6 +56,8 @@ ZsmallocArena::ZsmallocArena(bool keep_payload_bytes)
             cls.pages_per_zspage * kPageSize / cls.object_size;
     }
     entries_.emplace_back();  // slot 0 reserved: handle 0 is invalid
+    if (keep_payload_bytes_)
+        payloads_.emplace_back();
 }
 
 std::uint16_t
@@ -106,21 +114,25 @@ ZsmallocArena::store(std::uint32_t size, const std::uint8_t *data)
     }
     ++cls.live;
 
-    std::uint64_t slot;
+    ZsHandle slot;
     if (!free_entries_.empty()) {
         slot = free_entries_.back();
         free_entries_.pop_back();
     } else {
-        slot = entries_.size();
+        SDFM_ASSERT(entries_.size() < kMaxHandle);
+        slot = static_cast<ZsHandle>(entries_.size());
         entries_.emplace_back();
+        if (keep_payload_bytes_)
+            payloads_.emplace_back();
     }
     Entry &entry = entries_[slot];
-    entry.size = size;
-    entry.class_idx = class_idx;
+    entry.tag = 0;
     entry.zspage = target;
+    entry.size = static_cast<std::uint16_t>(size);
+    entry.class_idx = static_cast<std::uint8_t>(class_idx);
     entry.live = true;
     if (keep_payload_bytes_ && data != nullptr)
-        entry.bytes.assign(data, data + size);
+        payloads_[slot].assign(data, data + size);
 
     ++stats_.total_allocs;
     ++stats_.live_objects;
@@ -131,9 +143,8 @@ ZsmallocArena::store(std::uint32_t size, const std::uint8_t *data)
 void
 ZsmallocArena::release(ZsHandle handle)
 {
-    SDFM_ASSERT(handle > 0 && handle < entries_.size());
+    SDFM_ASSERT(is_live(handle));
     Entry &entry = entries_[handle];
-    SDFM_ASSERT(entry.live);
     SizeClass &cls = classes_[entry.class_idx];
     SDFM_ASSERT(cls.zspage_occupancy[entry.zspage] > 0);
     std::uint32_t occ = --cls.zspage_occupancy[entry.zspage];
@@ -151,27 +162,27 @@ ZsmallocArena::release(ZsHandle handle)
     --stats_.live_objects;
     ++stats_.total_frees;
     entry.live = false;
-    entry.bytes.clear();
-    entry.bytes.shrink_to_fit();
+    if (keep_payload_bytes_) {
+        payloads_[handle].clear();
+        payloads_[handle].shrink_to_fit();
+    }
     free_entries_.push_back(handle);
 }
 
 std::uint32_t
 ZsmallocArena::payload_size(ZsHandle handle) const
 {
-    SDFM_ASSERT(handle > 0 && handle < entries_.size());
-    const Entry &entry = entries_[handle];
-    SDFM_ASSERT(entry.live);
-    return entry.size;
+    SDFM_ASSERT(is_live(handle));
+    return entries_[handle].size;
 }
 
 const std::uint8_t *
 ZsmallocArena::payload(ZsHandle handle) const
 {
-    SDFM_ASSERT(handle > 0 && handle < entries_.size());
-    const Entry &entry = entries_[handle];
-    SDFM_ASSERT(entry.live);
-    return entry.bytes.empty() ? nullptr : entry.bytes.data();
+    SDFM_ASSERT(is_live(handle));
+    if (!keep_payload_bytes_ || payloads_[handle].empty())
+        return nullptr;
+    return payloads_[handle].data();
 }
 
 std::uint64_t
@@ -290,6 +301,9 @@ ZsmallocArena::check_invariants() const
     std::uint64_t live = 0;
     std::uint64_t stored = 0;
     std::vector<std::uint64_t> class_live(classes_.size(), 0);
+    SDFM_INVARIANT(payloads_.size() ==
+                       (keep_payload_bytes_ ? entries_.size() : 0),
+                   "only keep-bytes arenas have payload slots, one each");
     for (std::uint64_t slot = 1; slot < entries_.size(); ++slot) {
         const Entry &entry = entries_[slot];
         if (!entry.live)
@@ -351,7 +365,7 @@ ZsmallocArena::check_invariants() const
                    "pool-byte accounting matches backed zspages");
 
     // The free list holds exactly the dead entry slots.
-    for (std::uint64_t slot : free_entries_) {
+    for (ZsHandle slot : free_entries_) {
         SDFM_INVARIANT(slot > 0 && slot < entries_.size(),
                        "free-list slot in range");
         SDFM_INVARIANT(!entries_[slot].live,
@@ -372,11 +386,15 @@ ZsmallocArena::ckpt_save(Serializer &s) const
         s.put_u16(entry.class_idx);
         s.put_u32(entry.zspage);
         s.put_bool(entry.live);
-        s.put_u64(entry.bytes.size());
-        for (std::uint8_t byte : entry.bytes)
+        static const std::vector<std::uint8_t> kNoBytes;
+        const auto &bytes = keep_payload_bytes_ ? payloads_[slot] : kNoBytes;
+        s.put_u64(bytes.size());
+        for (std::uint8_t byte : bytes)
             s.put_u8(byte);
     }
-    s.put_u64_vec(free_entries_);
+    s.put_u64(free_entries_.size());
+    for (ZsHandle slot : free_entries_)
+        s.put_u64(slot);
     s.put_u64(classes_.size());
     for (const SizeClass &cls : classes_) {
         // Static geometry (object_size, pages/objects per zspage) is
@@ -407,32 +425,55 @@ ZsmallocArena::ckpt_load(Deserializer &d)
     bool keep_bytes = d.get_bool();
     if (!d.ok() || keep_bytes != keep_payload_bytes_)
         return false;
-    std::size_t num_entries = d.get_size(SIZE_MAX / sizeof(Entry), 12);
+    std::size_t num_entries = d.get_size(kMaxHandle, 12);
     if (!d.ok() || num_entries == 0)
         return false;
     entries_.assign(num_entries, Entry{});
+    payloads_.assign(keep_payload_bytes_ ? num_entries : 0, {});
     std::uint64_t live_count = 0;
     for (std::uint64_t slot = 1; slot < entries_.size(); ++slot) {
         Entry &entry = entries_[slot];
-        entry.size = d.get_u32();
-        entry.class_idx = d.get_u16();
+        std::uint32_t size = d.get_u32();
+        std::uint16_t class_idx = d.get_u16();
         entry.zspage = d.get_u32();
         entry.live = d.get_bool();
+        // Every slot was written by a store, dead ones included.
+        if (size > kMaxAlloc || class_idx >= kNumClasses)
+            return false;
+        entry.size = static_cast<std::uint16_t>(size);
+        entry.class_idx = static_cast<std::uint8_t>(class_idx);
         std::size_t num_bytes = d.get_size(kMaxAlloc);
         if (!d.ok())
             return false;
-        entry.bytes.reserve(num_bytes);
-        for (std::size_t b = 0; b < num_bytes; ++b)
-            entry.bytes.push_back(d.get_u8());
+        if (num_bytes > 0) {
+            // Bytes belong to live entries of keep-bytes arenas and
+            // cover the whole payload.
+            if (!keep_payload_bytes_ || !entry.live || num_bytes != size)
+                return false;
+            payloads_[slot].reserve(num_bytes);
+            for (std::size_t b = 0; b < num_bytes; ++b)
+                payloads_[slot].push_back(d.get_u8());
+        }
         if (entry.live) {
             ++live_count;
-            if (entry.class_idx >= kNumClasses ||
-                entry.size == 0 || entry.size > kMaxAlloc) {
+            if (entry.size == 0)
                 return false;
-            }
         }
     }
-    free_entries_ = d.get_u64_vec();
+    std::vector<std::uint64_t> free_list = d.get_u64_vec();
+    // Each dead slot is listed once: a repeat would hand one handle
+    // to two stores.
+    std::vector<bool> free_listed(entries_.size(), false);
+    free_entries_.clear();
+    free_entries_.reserve(free_list.size());
+    for (std::uint64_t slot : free_list) {
+        if (slot == 0 || slot >= entries_.size() || entries_[slot].live ||
+            free_listed[slot]) {
+            return false;
+        }
+        free_listed[slot] = true;
+        free_entries_.push_back(static_cast<ZsHandle>(slot));
+    }
     std::size_t num_classes = d.get_size(kNumClasses);
     if (!d.ok() || num_classes != classes_.size())
         return false;
@@ -478,10 +519,6 @@ ZsmallocArena::ckpt_load(Deserializer &d)
     if (stats_.live_objects != live_count ||
         free_entries_.size() + live_count != entries_.size() - 1) {
         return false;
-    }
-    for (std::uint64_t slot : free_entries_) {
-        if (slot == 0 || slot >= entries_.size() || entries_[slot].live)
-            return false;
     }
     for (std::uint64_t slot = 1; slot < entries_.size(); ++slot) {
         const Entry &entry = entries_[slot];

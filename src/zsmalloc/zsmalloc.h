@@ -23,11 +23,13 @@
 #include <vector>
 
 #include "ckpt/checkpoint.h"
+#include "util/logging.h"
 
 namespace sdfm {
 
-/** Opaque handle to a stored payload; 0 is invalid. */
-using ZsHandle = std::uint64_t;
+/** Opaque handle to a stored payload; 0 is invalid. A handle is the
+ *  index of its entry, and the entry table stays below 2^32 - 1. */
+using ZsHandle = std::uint32_t;
 
 /** Aggregate arena statistics. */
 struct ZsmallocStats
@@ -47,8 +49,8 @@ class ZsmallocArena : public Checkpointable
   public:
     /**
      * @param keep_payload_bytes When true, store() copies the payload
-     *        bytes and payload() returns them (real-compression mode);
-     *        when false only sizes are tracked (modeled mode).
+     *        bytes into a side table and payload() returns them
+     *        (zswap's verify mode); when false only sizes are tracked.
      */
     explicit ZsmallocArena(bool keep_payload_bytes = false);
 
@@ -73,6 +75,29 @@ class ZsmallocArena : public Checkpointable
      * keep payload bytes or none were provided at store time.
      */
     const std::uint8_t *payload(ZsHandle handle) const;
+
+    /** The owner's word for a live handle (zswap's checksum); 0 after
+     *  store(), and written by the owner's checkpoint, not the arena's. */
+    std::uint64_t
+    tag(ZsHandle handle) const
+    {
+        SDFM_ASSERT(is_live(handle));
+        return entries_[handle].tag;
+    }
+
+    void
+    set_tag(ZsHandle handle, std::uint64_t tag)
+    {
+        SDFM_ASSERT(is_live(handle));
+        entries_[handle].tag = tag;
+    }
+
+    /** Every live handle is in [1, handle_limit()). */
+    ZsHandle
+    handle_limit() const
+    {
+        return static_cast<ZsHandle>(entries_.size());
+    }
 
     /**
      * Compact: migrate objects out of sparse zspages within each size
@@ -155,14 +180,17 @@ class ZsmallocArena : public Checkpointable
         std::uint64_t live = 0;
     };
 
+    /** One handle's slot. Dead slots keep their last size, class and
+     *  zspage: the checkpoint writes them. */
     struct Entry
     {
-        std::uint32_t size = 0;
-        std::uint16_t class_idx = 0;
+        std::uint64_t tag = 0;
         std::uint32_t zspage = 0;
+        std::uint16_t size = 0;
+        std::uint8_t class_idx = 0;
         bool live = false;
-        std::vector<std::uint8_t> bytes;
     };
+    static_assert(sizeof(Entry) <= 16);
 
     static std::uint16_t class_for_size(std::uint32_t size);
     SizeClass &size_class(std::uint16_t idx) { return classes_[idx]; }
@@ -171,7 +199,9 @@ class ZsmallocArena : public Checkpointable
     bool keep_payload_bytes_;
     std::vector<SizeClass> classes_;
     std::vector<Entry> entries_;
-    std::vector<std::uint64_t> free_entries_;
+    /** Payload bytes by handle; empty unless keep_payload_bytes_. */
+    std::vector<std::vector<std::uint8_t>> payloads_;
+    std::vector<ZsHandle> free_entries_;
     ZsmallocStats stats_;
 };
 

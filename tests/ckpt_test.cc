@@ -29,6 +29,7 @@
 #include "mem/memcg.h"
 #include "node/machine.h"
 #include "node/threshold_controller.h"
+#include "util/digest.h"
 #include "util/rng.h"
 #include "workload/job.h"
 #include "workload/job_profile.h"
@@ -770,6 +771,94 @@ TEST(FleetCkpt, CorruptEventArrayIsRejected)
     }
 }
 
+/** Overwrite the wire u64 at @p at. */
+void
+poke_u64(std::vector<std::uint8_t> &bytes, std::size_t at, std::uint64_t v)
+{
+    ASSERT_LE(at + 8, bytes.size());
+    Serializer s;
+    s.put_u64(v);
+    std::copy(s.bytes().begin(), s.bytes().end(),
+              bytes.begin() + static_cast<std::ptrdiff_t>(at));
+}
+
+/** The wire u64 at @p at. */
+std::uint64_t
+peek_u64(const std::vector<std::uint8_t> &bytes, std::size_t at)
+{
+    Deserializer d(bytes.data() + at, bytes.size() - at);
+    return d.get_u64();
+}
+
+// A CRC-valid checkpoint whose memcg record gives a zswap page a
+// handle the arena cannot hold (2^40), or another page's live handle,
+// must be refused: the jobs' zswap pages have to claim exactly the
+// arena's live handles, each once.
+TEST(FleetCkpt, CorruptZswapHandlesAreRejected)
+{
+    TempCkpt good("fleet_ckpt_handles_good.ckpt");
+    TempCkpt bad("fleet_ckpt_handles_bad.ckpt");
+    FleetConfig config = small_fleet_config();
+
+    FarMemorySystem fleet(config);
+    fleet.populate();
+    for (int i = 0; i < 6; ++i)
+        fleet.step();
+    ASSERT_EQ(fleet.checkpoint(good.path), CkptStatus::kOk);
+    const Memcg *cg = nullptr;
+    for (const auto &machine : fleet.clusters().front()->machines()) {
+        for (const auto &job : machine->jobs()) {
+            if (cg == nullptr && job->memcg().zswap_pages() >= 2)
+                cg = &job->memcg();
+        }
+    }
+    ASSERT_NE(cg, nullptr) << "no job of cluster 0 holds two zswap pages";
+    Serializer ms;
+    cg->ckpt_save(ms);
+    const std::vector<std::uint8_t> memcg_bytes = ms.take();
+    Serializer ps;
+    cg->pages().ckpt_save(ps);
+    // The memcg record: id, content seed and start time (8 bytes
+    // each), the page table, then the handle count and the
+    // (u32 page, u64 handle) pairs in page order.
+    const std::size_t list = 24 + ps.bytes().size();
+    ASSERT_EQ(peek_u64(memcg_bytes, list), cg->zswap_pages());
+    const std::size_t first = list + 8 + 4;
+    const std::size_t second = first + 12;
+    const std::uint64_t live_digest = fleet.state_digest();
+
+    CkptReader reader;
+    ASSERT_EQ(reader.read_file(good.path), CkptStatus::kOk);
+    const std::pair<const char *, std::uint64_t> corruptions[] = {
+        {"handle past the u32 handle space", std::uint64_t{1} << 40},
+        {"handle claimed twice", peek_u64(memcg_bytes, second)},
+    };
+    for (const auto &[what, handle] : corruptions) {
+        SCOPED_TRACE(what);
+        std::vector<std::uint8_t> corrupt = memcg_bytes;
+        poke_u64(corrupt, first, handle);
+        CkptWriter writer;
+        bool replaced = false;
+        for (const CkptSection &section : reader.sections()) {
+            std::vector<std::uint8_t> payload = section.payload;
+            if (section.name == "cluster.0000") {
+                auto at = std::search(payload.begin(), payload.end(),
+                                      memcg_bytes.begin(),
+                                      memcg_bytes.end());
+                ASSERT_NE(at, payload.end());
+                std::copy(corrupt.begin(), corrupt.end(), at);
+                replaced = true;
+            }
+            writer.add_section(section.name, std::move(payload));
+        }
+        ASSERT_TRUE(replaced);
+        ASSERT_EQ(writer.write_file(bad.path), CkptStatus::kOk);
+        EXPECT_EQ(fleet.restore(bad.path), CkptStatus::kCorruptPayload);
+        EXPECT_EQ(fleet.state_digest(), live_digest)
+            << "a rejected restore mutated the live fleet";
+    }
+}
+
 TEST(FleetCkpt, ConfigMismatchIsRejected)
 {
     TempCkpt ckpt("fleet_ckpt_config.ckpt");
@@ -817,6 +906,167 @@ TEST(FleetCkpt, ConfigMismatchIsRejected)
         FarMemorySystem victim(other);
         EXPECT_EQ(victim.restore(ckpt.path), CkptStatus::kOk);
         EXPECT_EQ(victim.state_digest(), fleet.state_digest());
+    }
+}
+
+
+// verify_zswap_roundtrip asks for byte-level verification, which the
+// modeled backend cannot give: such a machine verifies nothing, and
+// its checkpoint must still restore into a fleet built from the same
+// config.
+TEST(FleetCkpt, ModeledVerifyFleetRestoresItsOwnCheckpoint)
+{
+    TempCkpt ckpt("fleet_ckpt_modeled_verify.ckpt");
+    FleetConfig config;
+    config.num_clusters = 1;
+    config.seed = 21;
+    config.serial_step = true;
+    config.cluster.num_machines = 2;
+    config.cluster.machine.dram_pages = 32 * 1024;
+    config.cluster.machine.verify_zswap_roundtrip = true;
+    config.cluster.mix = typical_fleet_mix();
+
+    FarMemorySystem fleet(config);
+    fleet.populate();
+    for (int i = 0; i < 10; ++i)
+        fleet.step();
+    MetricsSnapshot snap = fleet.fleet_telemetry();
+    ASSERT_GT(snap.counters.at("zswap.stores"), 0u);
+    ASSERT_EQ(fleet.checkpoint(ckpt.path), CkptStatus::kOk);
+
+    FarMemorySystem resumed(config);
+    EXPECT_EQ(resumed.restore(ckpt.path), CkptStatus::kOk);
+    EXPECT_EQ(resumed.state_digest(), fleet.state_digest());
+}
+
+/** StateDigest over every byte of a file. */
+std::uint64_t
+file_hash(const std::string &path)
+{
+    StateDigest d;
+    for (std::uint8_t byte : slurp(path))
+        d.mix(byte);
+    return d.value();
+}
+
+/** One deep NVM tier claiming the ages in [lo * T, hi * T). */
+TierConfig
+nvm_tier(const char *label, std::uint64_t capacity, double lo, double hi)
+{
+    TierConfig nvm;
+    nvm.kind = TierKind::kNvm;
+    nvm.label = label;
+    nvm.nvm.capacity_pages = capacity;
+    nvm.band_lo = lo;
+    nvm.band_hi = hi;
+    return nvm;
+}
+
+// Where far pages live, and their integrity checksums, are written by
+// the memcg (zswap handles and deep-tier indices >= 2), zswap (one
+// checksum per live handle) and the arena (entry records, payload
+// bytes included). Each configuration below puts data in one of those
+// lists; its digest and checkpoint bytes are pinned, and a restore
+// lands on the same digest. The values were captured on the build
+// that still kept zswap handles and checksums in hash maps keyed by
+// page and by handle, and deep-tier indices in a lazily allocated
+// per-page array.
+TEST(FleetCkpt, FarPageRecordsMatchPinnedCheckpoints)
+{
+    TempCkpt ckpt("fleet_ckpt_far_pages.ckpt");
+    auto expect_pinned = [&](const FarMemorySystem &fleet,
+                             const FleetConfig &config,
+                             std::uint64_t digest, std::uint64_t hash) {
+        EXPECT_EQ(fleet.state_digest(), digest);
+        ASSERT_EQ(fleet.checkpoint(ckpt.path), CkptStatus::kOk);
+        EXPECT_EQ(file_hash(ckpt.path), hash);
+        FarMemorySystem resumed(config);
+        ASSERT_EQ(resumed.restore(ckpt.path), CkptStatus::kOk);
+        EXPECT_EQ(resumed.state_digest(), fleet.state_digest());
+    };
+
+    {  // remote pages and corrupted (flipped) checksums
+        SCOPED_TRACE("small fleet");
+        FleetConfig config = small_fleet_config();
+        FarMemorySystem fleet(config);
+        fleet.populate();
+        for (int i = 0; i < 6; ++i)
+            fleet.step();
+        FleetFaultReport faults = fleet.fault_report();
+        ASSERT_GT(faults.corruptions, 0u);
+        MetricsSnapshot snap = fleet.fleet_telemetry();
+        ASSERT_GT(snap.gauges.at("tier.remote.stored_pages"), 0.0);
+        expect_pinned(fleet, config, 0x75f7ceb894a29e9cULL,
+                      0x67490da93e14ffacULL);
+    }
+    {  // pages at deep-tier stack indices >= 2
+        SCOPED_TRACE("three deep tiers");
+        FleetConfig config;
+        config.num_clusters = 1;
+        config.seed = 45;
+        config.serial_step = true;
+        config.cluster.num_machines = 2;
+        config.cluster.machine.dram_pages = 32 * 1024;
+        config.cluster.machine.tiers = {nvm_tier("nvm_a", 1024, 1.0, 2.0),
+                                        nvm_tier("nvm_b", 1024, 2.0, 4.0),
+                                        nvm_tier("nvm_c", 1024, 4.0, 0.0)};
+        config.cluster.mix = typical_fleet_mix();
+        FarMemorySystem fleet(config);
+        fleet.populate();
+        for (int i = 0; i < 6; ++i)
+            fleet.step();
+        // Proactive reclaim demotes pages as they cross T, so nothing
+        // ages into the deeper bands on its own. Age a backlog by
+        // hand, as a reclaim outage would leave it: half just under
+        // 4T, half saturated.
+        for (auto &machine : fleet.clusters().front()->machines()) {
+            Memcg &cg = machine->jobs().front()->memcg();
+            const std::uint32_t t = cg.reclaim_threshold();
+            ASSERT_GT(t, 0u);
+            std::uint32_t aged = 0;
+            for (PageId p = 0; p < cg.num_pages() && aged < 512; ++p) {
+                if (cg.pages().in_far_memory(p) ||
+                    cg.page_test(p, kPageAccessed) ||
+                    cg.page_test(p, kPageUnevictable)) {
+                    continue;
+                }
+                cg.set_page_age(p, aged % 2 == 0
+                                       ? static_cast<std::uint8_t>(
+                                             std::min(4 * t - 1, 254u))
+                                       : std::uint8_t{255});
+                ++aged;
+            }
+        }
+        for (int i = 0; i < 2; ++i)
+            fleet.step();
+        std::uint64_t deep = 0;
+        for (const auto &machine : fleet.clusters().front()->machines()) {
+            for (std::size_t i = 2; i < machine->tiers().size(); ++i)
+                deep += machine->tiers().tier(i).used_pages();
+        }
+        ASSERT_GT(deep, 0u) << "no page sits at stack index >= 2";
+        expect_pinned(fleet, config, 0x409235e0872ed452ULL,
+                      0xf22171f4764a0c54ULL);
+    }
+    {  // real payload bytes in the arena records
+        SCOPED_TRACE("real compression, verified");
+        FleetConfig config;
+        config.num_clusters = 1;
+        config.seed = 46;
+        config.serial_step = true;
+        config.cluster.num_machines = 2;
+        config.cluster.machine.dram_pages = 32 * 1024;
+        config.cluster.machine.compression = CompressionMode::kReal;
+        config.cluster.machine.verify_zswap_roundtrip = true;
+        config.cluster.mix = typical_fleet_mix();
+        FarMemorySystem fleet(config);
+        fleet.populate();
+        for (int i = 0; i < 6; ++i)
+            fleet.step();
+        MetricsSnapshot snap = fleet.fleet_telemetry();
+        ASSERT_GT(snap.gauges.at("zswap.stored_pages"), 0.0);
+        expect_pinned(fleet, config, 0x84b4bccef62360beULL,
+                      0xec17b7ae40eea95fULL);
     }
 }
 

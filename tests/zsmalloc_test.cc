@@ -524,6 +524,40 @@ TEST(ZsmallocCompact, RestoreRejectsFreeSlotListsThatMissOrRepeatAZspage)
     EXPECT_FALSE(loads({0, 1, 2}));  // zspage 2 is backed
 }
 
+// A handle is an entry index, so a restore must not accept a free list
+// that repeats a dead slot (two stores would share a handle), an entry
+// record the 16-byte entry cannot hold, or payload bytes shorter than
+// the payload they stand for.
+TEST(ZsmallocCkpt, RestoreRejectsRepeatedFreeEntriesAndBadRecords)
+{
+    ZsmallocArena arena(/*keep_payload_bytes=*/true);
+    std::vector<std::uint8_t> data(100, 7);
+    std::vector<ZsHandle> handles;
+    for (int i = 0; i < 8; ++i)
+        handles.push_back(arena.store(100, data.data()));
+    arena.release(handles[2]);
+    arena.release(handles[5]);
+    ReferenceArena wire(arena_wire(arena));
+    ASSERT_EQ(wire.free_entries, (std::vector<std::uint64_t>{3, 6}));
+
+    auto loads = [](const ReferenceArena &edited) {
+        std::vector<std::uint8_t> bytes = edited.wire();
+        Deserializer d(bytes);
+        ZsmallocArena back(/*keep_payload_bytes=*/true);
+        return back.ckpt_load(d);
+    };
+    EXPECT_TRUE(loads(wire));
+    ReferenceArena repeated = wire;
+    repeated.free_entries = {3, 3};  // slot 6 is dead but unlisted
+    EXPECT_FALSE(loads(repeated));
+    ReferenceArena oversized = wire;
+    oversized.entries[3].size = 70000;  // a dead record past 4 KiB
+    EXPECT_FALSE(loads(oversized));
+    ReferenceArena short_bytes = wire;
+    short_bytes.entries[1].bytes.resize(50);  // payload is 100 bytes
+    EXPECT_FALSE(loads(short_bytes));
+}
+
 /**
  * The paper's Section 5.1 finding: one machine-global arena
  * fragments far less than per-memcg arenas under many small jobs.
