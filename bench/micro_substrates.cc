@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "autotune/gp.h"
+#include "ckpt/checkpoint.h"
 #include "compression/compressor.h"
 #include "compression/page_content.h"
 #include "compression/szo.h"
@@ -141,6 +142,22 @@ BM_KstaledScan(benchmark::State &state)
                             static_cast<std::int64_t>(pages));
 }
 BENCHMARK(BM_KstaledScan)->Arg(4096)->Arg(65536);
+
+// ------------------------------------------------------- checkpoint
+
+void
+BM_Crc32(benchmark::State &state)
+{
+    std::vector<std::uint8_t> buf(1 << 20);
+    Rng rng(3);
+    for (std::uint8_t &byte : buf)
+        byte = static_cast<std::uint8_t>(rng.next_u64());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(crc32(buf.data(), buf.size()));
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32);
 
 // ------------------------------------------------------------ model
 

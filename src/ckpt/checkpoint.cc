@@ -4,6 +4,8 @@
 #include <array>
 #include <bit>
 #include <cstdio>
+#include <filesystem>
+#include <system_error>
 
 #include "util/logging.h"
 
@@ -11,21 +13,52 @@ namespace sdfm {
 
 namespace {
 
-/** Reflected CRC32 table for polynomial 0xEDB88320 (IEEE 802.3). */
-const std::array<std::uint32_t, 256> &
-crc_table()
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/**
+ * Slicing-by-8 tables for the reflected IEEE 802.3 polynomial
+ * 0xEDB88320: table 0 is the bytewise table, and table k advances a
+ * byte's contribution through k more zero bytes.
+ */
+constexpr CrcTables
+make_crc_tables()
 {
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    return table;
+    CrcTables t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < t.size(); ++k) {
+        for (std::size_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+    return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/** True when @p stored is the CRC of every section, checked on
+ *  @p pool (one task per section) when there is one. */
+bool
+crcs_match(const std::vector<CkptSection> &sections,
+           const std::vector<std::uint32_t> &stored, ThreadPool *pool)
+{
+    // One byte per section, not vector<bool>: tasks write distinct
+    // elements concurrently.
+    std::vector<std::uint8_t> bad(sections.size(), 0);
+    auto check = [&](std::size_t i) {
+        const std::span<const std::uint8_t> payload = sections[i].payload;
+        bad[i] = crc32(payload.data(), payload.size()) != stored[i];
+    };
+    if (pool != nullptr && sections.size() > 1) {
+        parallel_for(*pool, sections.size(), check);
+    } else {
+        for (std::size_t i = 0; i < sections.size(); ++i)
+            check(i);
+    }
+    return std::find(bad.begin(), bad.end(), 1) == bad.end();
 }
 
 }  // namespace
@@ -57,11 +90,18 @@ to_string(CkptStatus status)
 std::uint32_t
 crc32(const std::uint8_t *data, std::size_t size)
 {
+    const CrcTables &t = kCrcTables;
     std::uint32_t c = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < size; ++i) {
-        c = crc_table()[static_cast<std::size_t>((c ^ data[i]) & 0xffu)] ^
-            (c >> 8);
+    for (; size >= 8; data += 8, size -= 8) {
+        std::uint32_t lo = load_le<std::uint32_t>(data) ^ c;
+        std::uint32_t hi = load_le<std::uint32_t>(data + 4);
+        c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+            t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+            t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
     }
+    for (; size > 0; ++data, --size)
+        c = t[0][(c ^ *data) & 0xffu] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 
@@ -77,16 +117,23 @@ void
 Serializer::put_string(const std::string &s)
 {
     put_u64(s.size());
-    for (char ch : s)
-        put_u8(static_cast<std::uint8_t>(ch));
+    put_bytes(reinterpret_cast<const std::uint8_t *>(s.data()), s.size());
 }
 
 void
 Serializer::put_u64_vec(const std::vector<std::uint64_t> &v)
 {
     put_u64(v.size());
-    for (std::uint64_t x : v)
-        put_u64(x);
+    if constexpr (std::endian::native == std::endian::little) {
+        put_bytes(reinterpret_cast<const std::uint8_t *>(v.data()),
+                  v.size() * 8);
+    } else {
+        std::uint8_t *out = claim(v.size() * 8);
+        for (std::uint64_t x : v) {
+            store_le(out, x);
+            out += 8;
+        }
+    }
 }
 
 void
@@ -129,21 +176,25 @@ std::string
 Deserializer::get_string()
 {
     std::size_t len = get_size(remaining());
-    std::string s;
-    s.reserve(len);
-    for (std::size_t i = 0; i < len; ++i)
-        s.push_back(static_cast<char>(get_u8()));
-    return s;
+    if (len == 0)
+        return {};
+    return std::string(reinterpret_cast<const char *>(consume(len)), len);
 }
 
 std::vector<std::uint64_t>
 Deserializer::get_u64_vec()
 {
     std::size_t n = get_size(remaining() / 8, 8);
-    std::vector<std::uint64_t> v;
-    v.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        v.push_back(get_u64());
+    if (n == 0)
+        return {};
+    const std::uint8_t *in = consume(n * 8);
+    std::vector<std::uint64_t> v(n);
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(v.data(), in, n * 8);
+    } else {
+        for (std::size_t i = 0; i < n; ++i)
+            v[i] = load_le<std::uint64_t>(in + 8 * i);
+    }
     return v;
 }
 
@@ -204,65 +255,76 @@ Deserializer::get_size(std::size_t max_elems, std::size_t min_bytes_per_elem)
 
 // -- CkptWriter ------------------------------------------------------
 
-void
-CkptWriter::add_section(std::string name, std::vector<std::uint8_t> payload)
+CkptWriter::CkptWriter(const std::string &path)
+    : path_(path), tmp_(path + ".tmp")
 {
-    for (const CkptSection &section : sections_)
-        SDFM_ASSERT(section.name != name);
-    sections_.push_back({std::move(name), std::move(payload)});
+    file_ = std::fopen(tmp_.c_str(), "wb");
+    if (file_ == nullptr) {
+        failed_ = true;
+        return;
+    }
+    // The section count is patched in by finish().
+    std::uint8_t header[16];
+    store_le(header, kCkptMagic);
+    store_le(header + 8, kCkptFormatVersion);
+    store_le(header + 12, std::uint32_t{0});
+    write(header, sizeof header);
 }
 
-std::vector<std::uint8_t>
-CkptWriter::encode() const
+CkptWriter::~CkptWriter()
 {
-    std::vector<const CkptSection *> ordered;
-    ordered.reserve(sections_.size());
-    for (const CkptSection &section : sections_)
-        ordered.push_back(&section);
-    // Sections are written in ascending name order so the container
-    // bytes are independent of add_section() call order.
-    std::sort(ordered.begin(), ordered.end(),
-              [](const CkptSection *a, const CkptSection *b) {
-                  return a->name < b->name;
-              });
-
-    Serializer s;
-    s.put_u64(kCkptMagic);
-    s.put_u32(kCkptFormatVersion);
-    s.put_u32(static_cast<std::uint32_t>(ordered.size()));
-    for (const CkptSection *section : ordered) {
-        s.put_u32(static_cast<std::uint32_t>(section->name.size()));
-        for (char ch : section->name)
-            s.put_u8(static_cast<std::uint8_t>(ch));
-        s.put_u64(section->payload.size());
-        for (std::uint8_t byte : section->payload)
-            s.put_u8(byte);
-        s.put_u32(crc32(section->payload.data(), section->payload.size()));
+    if (file_ != nullptr) {
+        std::fclose(file_);
+        std::remove(tmp_.c_str());
     }
-    return s.take();
+}
+
+void
+CkptWriter::write(const void *data, std::size_t size)
+{
+    if (failed_ || size == 0)
+        return;
+    if (std::fwrite(data, 1, size, file_) != size)
+        failed_ = true;
+}
+
+void
+CkptWriter::add_section(std::string_view name,
+                        std::span<const std::uint8_t> payload)
+{
+    // Ascending unique names are part of the format.
+    SDFM_ASSERT(count_ == 0 || std::string_view(last_name_) < name);
+    last_name_ = name;
+    ++count_;
+    std::uint8_t name_len[4];
+    store_le(name_len, static_cast<std::uint32_t>(name.size()));
+    write(name_len, sizeof name_len);
+    write(name.data(), name.size());
+    std::uint8_t payload_len[8];
+    store_le(payload_len, static_cast<std::uint64_t>(payload.size()));
+    write(payload_len, sizeof payload_len);
+    write(payload.data(), payload.size());
+    std::uint8_t crc[4];
+    store_le(crc, crc32(payload.data(), payload.size()));
+    write(crc, sizeof crc);
 }
 
 CkptStatus
-CkptWriter::write_file(const std::string &path) const
+CkptWriter::finish()
 {
-    std::vector<std::uint8_t> bytes = encode();
-    // Write-to-temp + rename so a crash mid-write never leaves a
-    // half-written file at the destination path.
-    std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (f == nullptr)
+    if (file_ == nullptr)
         return CkptStatus::kIoError;
-    std::size_t written = bytes.empty()
-                              ? 0
-                              : std::fwrite(bytes.data(), 1, bytes.size(), f);
-    bool flushed = std::fflush(f) == 0;
-    bool closed = std::fclose(f) == 0;
-    if (written != bytes.size() || !flushed || !closed) {
-        std::remove(tmp.c_str());
-        return CkptStatus::kIoError;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
+    if (!failed_ && std::fseek(file_, 12, SEEK_SET) != 0)
+        failed_ = true;
+    std::uint8_t count[4];
+    store_le(count, count_);
+    write(count, sizeof count);
+    bool flushed = std::fflush(file_) == 0;
+    bool closed = std::fclose(file_) == 0;
+    file_ = nullptr;
+    if (failed_ || !flushed || !closed ||
+        std::rename(tmp_.c_str(), path_.c_str()) != 0) {
+        std::remove(tmp_.c_str());
         return CkptStatus::kIoError;
     }
     return CkptStatus::kOk;
@@ -271,8 +333,9 @@ CkptWriter::write_file(const std::string &path) const
 // -- CkptReader ------------------------------------------------------
 
 CkptStatus
-CkptReader::parse(std::vector<std::uint8_t> bytes)
+CkptReader::parse(std::vector<std::uint8_t> bytes, ThreadPool *pool)
 {
+    bytes_.clear();
     sections_.clear();
     Deserializer d(bytes);
     if (d.remaining() < 8)
@@ -287,73 +350,95 @@ CkptReader::parse(std::vector<std::uint8_t> bytes)
         return CkptStatus::kTruncated;
     std::uint32_t count = d.get_u32();
 
+    // Walk the framing first and check the CRCs of every section it
+    // framed afterwards. A CRC mismatch wins over a framing error
+    // further on, as it would for a reader that checks each section
+    // as it goes.
     std::vector<CkptSection> sections;
+    std::vector<std::uint32_t> crcs;
+    CkptStatus framing = CkptStatus::kOk;
     for (std::uint32_t i = 0; i < count; ++i) {
-        if (d.remaining() < 4)
-            return CkptStatus::kTruncated;
+        if (d.remaining() < 4) {
+            framing = CkptStatus::kTruncated;
+            break;
+        }
         std::uint32_t name_len = d.get_u32();
-        if (name_len > d.remaining())
-            return CkptStatus::kTruncated;
-        std::string name;
-        name.reserve(name_len);
-        for (std::uint32_t c = 0; c < name_len; ++c)
-            name.push_back(static_cast<char>(d.get_u8()));
-        if (d.remaining() < 8)
-            return CkptStatus::kTruncated;
+        if (name_len > d.remaining()) {
+            framing = CkptStatus::kTruncated;
+            break;
+        }
+        const std::uint8_t *name = d.consume(name_len);
+        if (d.remaining() < 8) {
+            framing = CkptStatus::kTruncated;
+            break;
+        }
         std::uint64_t payload_len = d.get_u64();
-        if (payload_len > d.remaining())
-            return CkptStatus::kTruncated;
-        std::vector<std::uint8_t> payload;
-        payload.reserve(static_cast<std::size_t>(payload_len));
-        for (std::uint64_t b = 0; b < payload_len; ++b)
-            payload.push_back(d.get_u8());
-        if (d.remaining() < 4)
-            return CkptStatus::kTruncated;
-        std::uint32_t stored_crc = d.get_u32();
-        if (crc32(payload.data(), payload.size()) != stored_crc)
-            return CkptStatus::kCrcMismatch;
+        if (payload_len > d.remaining()) {
+            framing = CkptStatus::kTruncated;
+            break;
+        }
+        const auto len = static_cast<std::size_t>(payload_len);
+        const std::uint8_t *payload = d.consume(len);
+        if (d.remaining() < 4) {
+            framing = CkptStatus::kTruncated;
+            break;
+        }
+        crcs.push_back(d.get_u32());
+        sections.push_back(
+            {std::string_view(reinterpret_cast<const char *>(name),
+                              name_len),
+             std::span<const std::uint8_t>(payload, len)});
         // Ascending unique names are part of the format.
-        if (!sections.empty() && sections.back().name >= name)
-            return CkptStatus::kCorruptPayload;
-        sections.push_back({std::move(name), std::move(payload)});
+        if (sections.size() > 1 &&
+            sections[sections.size() - 2].name >= sections.back().name) {
+            framing = CkptStatus::kCorruptPayload;
+            break;
+        }
     }
-    if (!d.at_end())
-        return CkptStatus::kCorruptPayload;
+    if (framing == CkptStatus::kOk && !d.at_end())
+        framing = CkptStatus::kCorruptPayload;
+    if (!crcs_match(sections, crcs, pool))
+        return CkptStatus::kCrcMismatch;
+    if (framing != CkptStatus::kOk)
+        return framing;
     SDFM_ASSERT(d.ok());
+    // Moving the vector keeps its heap buffer, so the views stay valid.
+    bytes_ = std::move(bytes);
     sections_ = std::move(sections);
     return CkptStatus::kOk;
 }
 
 CkptStatus
-CkptReader::read_file(const std::string &path)
+CkptReader::read_file(const std::string &path, ThreadPool *pool)
 {
+    // file_size() fails for a missing path, a directory or any other
+    // file that is not a regular one.
+    std::error_code error;
+    const std::uintmax_t size = std::filesystem::file_size(path, error);
+    if (error)
+        return CkptStatus::kIoError;
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (f == nullptr)
         return CkptStatus::kIoError;
-    std::vector<std::uint8_t> bytes;
-    std::array<std::uint8_t, 64 * 1024> chunk;
-    for (;;) {
-        std::size_t got = std::fread(chunk.data(), 1, chunk.size(), f);
-        bytes.insert(bytes.end(), chunk.begin(),
-                     chunk.begin() + static_cast<std::ptrdiff_t>(got));
-        if (got < chunk.size())
-            break;
-    }
-    bool read_error = std::ferror(f) != 0;
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+    bool read_ok =
+        std::fread(bytes.data(), 1, bytes.size(), f) == bytes.size() &&
+        std::fgetc(f) == EOF && std::ferror(f) == 0;
     std::fclose(f);
-    if (read_error)
+    if (!read_ok)
         return CkptStatus::kIoError;
-    return parse(std::move(bytes));
+    return parse(std::move(bytes), pool);
 }
 
-const std::vector<std::uint8_t> *
-CkptReader::section(const std::string &name) const
+const std::span<const std::uint8_t> *
+CkptReader::section(std::string_view name) const
 {
-    for (const CkptSection &section : sections_) {
-        if (section.name == name)
-            return &section.payload;
-    }
-    return nullptr;
+    auto it = std::lower_bound(
+        sections_.begin(), sections_.end(), name,
+        [](const CkptSection &s, std::string_view n) { return s.name < n; });
+    if (it == sections_.end() || it->name != name)
+        return nullptr;
+    return &it->payload;
 }
 
 }  // namespace sdfm

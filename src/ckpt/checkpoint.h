@@ -14,7 +14,10 @@
  *     u64 payload length, payload bytes
  *     u32 CRC32 (IEEE) of the payload bytes
  *
- * The reader validates the whole container -- magic, version, length
+ * The writer streams: each section goes to the temp file as soon as it
+ * is added, so a checkpoint never exists twice in memory. The reader
+ * reads the file into one buffer and hands sections out as views into
+ * it. It validates the whole container -- magic, version, length
  * framing, every section CRC -- before any payload is handed to a
  * subsystem, and restore callers stage into a replica before touching
  * live state, so a rejected checkpoint never partially mutates a
@@ -29,13 +32,20 @@
 #ifndef SDFM_CKPT_CHECKPOINT_H
 #define SDFM_CKPT_CHECKPOINT_H
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "util/age_histogram.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace sdfm {
 
@@ -73,39 +83,53 @@ enum class CkptStatus : std::uint8_t
 /** Human-readable status name (stable, for logs and tests). */
 const char *to_string(CkptStatus status);
 
-/** CRC32 (IEEE 802.3, reflected, init/final 0xFFFFFFFF). */
+/** CRC32 (IEEE 802.3, reflected, init/final 0xFFFFFFFF), eight bytes
+ *  per table round (slicing-by-8). */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t size);
+
+/** Store @p v at @p out as little-endian bytes (any alignment). */
+template <typename T>
+inline void
+store_le(std::uint8_t *out, T v)
+{
+    static_assert(std::is_unsigned_v<T>);
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(out, &v, sizeof v);
+    } else {
+        for (std::size_t i = 0; i < sizeof v; ++i)
+            out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+}
+
+/** The little-endian value at @p in (any alignment). */
+template <typename T>
+inline T
+load_le(const std::uint8_t *in)
+{
+    static_assert(std::is_unsigned_v<T>);
+    T v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, in, sizeof v);
+    } else {
+        for (std::size_t i = 0; i < sizeof v; ++i)
+            v = static_cast<T>(v | static_cast<T>(in[i]) << (8 * i));
+    }
+    return v;
+}
 
 /**
  * Append-only little-endian byte sink. One Serializer builds one
- * section payload; framing and CRCs are the CkptWriter's job.
+ * section payload; framing and CRCs are the CkptWriter's job. Each
+ * put claims its whole width at once; runs of fixed-size records
+ * claim() their bytes once and fill them with store_le().
  */
 class Serializer
 {
   public:
     void put_u8(std::uint8_t v) { buf_.push_back(v); }
-
-    void
-    put_u16(std::uint16_t v)
-    {
-        put_u8(static_cast<std::uint8_t>(v & 0xff));
-        put_u8(static_cast<std::uint8_t>(v >> 8));
-    }
-
-    void
-    put_u32(std::uint32_t v)
-    {
-        put_u16(static_cast<std::uint16_t>(v & 0xffff));
-        put_u16(static_cast<std::uint16_t>(v >> 16));
-    }
-
-    void
-    put_u64(std::uint64_t v)
-    {
-        put_u32(static_cast<std::uint32_t>(v & 0xffffffffu));
-        put_u32(static_cast<std::uint32_t>(v >> 32));
-    }
-
+    void put_u16(std::uint16_t v) { store_le(claim(2), v); }
+    void put_u32(std::uint32_t v) { store_le(claim(4), v); }
+    void put_u64(std::uint64_t v) { store_le(claim(8), v); }
     void put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
 
     /** Bit-exact double (IEEE-754 bits as u64). */
@@ -125,6 +149,29 @@ class Serializer
     /** Sparse (nonzero buckets only) age-histogram encoding. */
     void put_age_histogram(const AgeHistogram &h);
 
+    /** Raw bytes, no prefix. */
+    void
+    put_bytes(const std::uint8_t *data, std::size_t size)
+    {
+        if (size > 0)
+            std::memcpy(claim(size), data, size);
+    }
+
+    /**
+     * Append @p size bytes for the caller to fill, and return where
+     * they start. The pointer is valid until the next put.
+     */
+    std::uint8_t *
+    claim(std::size_t size)
+    {
+        std::size_t at = buf_.size();
+        buf_.resize(at + size);
+        return buf_.data() + at;
+    }
+
+    /** Drop the bytes but keep the buffer, to build the next payload. */
+    void clear() { buf_.clear(); }
+
     const std::vector<std::uint8_t> &bytes() const { return buf_; }
     std::vector<std::uint8_t> take() { return std::move(buf_); }
 
@@ -134,10 +181,14 @@ class Serializer
 
 /**
  * Bounds-checked little-endian byte source over a section payload.
- * Reads past the end set a sticky failure flag and return zeros;
- * callers check ok() once after a load instead of after every field.
- * Payloads are CRC-validated before a Deserializer ever sees them,
- * so a failed read means semantic corruption (kCorruptPayload).
+ * A read that does not fit in the remaining bytes returns zero (or
+ * empty), consumes the rest and sets a sticky failure flag; callers
+ * check ok() once after a load instead of after every field. Each
+ * read makes one bounds check for its whole width; runs of
+ * fixed-size records consume() their bytes once and parse them with
+ * load_le(). Payloads are CRC-validated before a Deserializer ever
+ * sees them, so a failed read means semantic corruption
+ * (kCorruptPayload).
  */
 class Deserializer
 {
@@ -147,45 +198,32 @@ class Deserializer
     {
     }
 
-    explicit Deserializer(const std::vector<std::uint8_t> &bytes)
+    explicit Deserializer(std::span<const std::uint8_t> bytes)
         : Deserializer(bytes.data(), bytes.size())
     {
     }
 
-    std::uint8_t
-    get_u8()
+    /**
+     * The next @p size bytes, or nullptr (failing the stream) when
+     * fewer remain.
+     */
+    const std::uint8_t *
+    consume(std::size_t size)
     {
-        if (pos_ >= size_) {
+        if (size > size_ - pos_) {
             ok_ = false;
-            return 0;
+            pos_ = size_;
+            return nullptr;
         }
-        return data_[pos_++];
+        const std::uint8_t *at = data_ + pos_;
+        pos_ += size;
+        return at;
     }
 
-    std::uint16_t
-    get_u16()
-    {
-        std::uint16_t lo = get_u8();
-        std::uint16_t hi = get_u8();
-        return static_cast<std::uint16_t>(lo | (hi << 8));
-    }
-
-    std::uint32_t
-    get_u32()
-    {
-        std::uint32_t lo = get_u16();
-        std::uint32_t hi = get_u16();
-        return lo | (hi << 16);
-    }
-
-    std::uint64_t
-    get_u64()
-    {
-        std::uint64_t lo = get_u32();
-        std::uint64_t hi = get_u32();
-        return lo | (hi << 32);
-    }
-
+    std::uint8_t get_u8() { return get_le<std::uint8_t>(); }
+    std::uint16_t get_u16() { return get_le<std::uint16_t>(); }
+    std::uint32_t get_u32() { return get_le<std::uint32_t>(); }
+    std::uint64_t get_u64() { return get_le<std::uint64_t>(); }
     std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
 
     double get_double();
@@ -220,6 +258,14 @@ class Deserializer
     bool at_end() const { return pos_ == size_; }
 
   private:
+    template <typename T>
+    T
+    get_le()
+    {
+        const std::uint8_t *at = consume(sizeof(T));
+        return at != nullptr ? load_le<T>(at) : T{0};
+    }
+
     const std::uint8_t *data_;
     std::size_t size_;
     std::size_t pos_ = 0;
@@ -263,49 +309,80 @@ struct CkptRestoreTag
 {
 };
 
-/** One named, CRC-protected section. */
+/** One named, CRC-protected section: views into the bytes its
+ *  CkptReader holds. */
 struct CkptSection
 {
-    std::string name;
-    std::vector<std::uint8_t> payload;
+    std::string_view name;
+    std::span<const std::uint8_t> payload;
 };
 
-/** Builds and writes a checkpoint container. */
+/**
+ * Streams a checkpoint container into @p path + ".tmp" and renames it
+ * onto @p path in finish(), so a crash mid-write never leaves a
+ * half-written file at the destination. Sections go to the file as
+ * they are added, in strictly ascending name order (the format's);
+ * the header's section count is patched in by finish(). A writer
+ * destroyed without a successful finish() removes its temp file.
+ */
 class CkptWriter
 {
   public:
-    /** Add a section; names must be unique. */
-    void add_section(std::string name, std::vector<std::uint8_t> payload);
+    explicit CkptWriter(const std::string &path);
+    ~CkptWriter();
 
-    /** Encode the container (sections sorted by name). */
-    std::vector<std::uint8_t> encode() const;
+    CkptWriter(const CkptWriter &) = delete;
+    CkptWriter &operator=(const CkptWriter &) = delete;
 
-    /** Encode and atomically replace @p path (write tmp + rename). */
-    CkptStatus write_file(const std::string &path) const;
+    /** Write one section; its name must sort after the previous one. */
+    void add_section(std::string_view name,
+                     std::span<const std::uint8_t> payload);
+
+    /** Complete the file and rename it into place; kIoError when any
+     *  open, write, flush or rename failed. */
+    CkptStatus finish();
 
   private:
-    std::vector<CkptSection> sections_;
+    void write(const void *data, std::size_t size);
+
+    std::string path_;
+    std::string tmp_;
+    std::FILE *file_ = nullptr;
+    bool failed_ = false;
+    std::uint32_t count_ = 0;
+    std::string last_name_;
 };
 
 /**
  * Parses and fully validates a checkpoint container. After parse()
- * returns kOk, every section's framing and CRC has been verified.
+ * returns kOk, every section's framing and CRC has been verified, and
+ * the sections view into the bytes the reader now owns.
  */
 class CkptReader
 {
   public:
-    /** Validate @p bytes; on kOk, populates this reader. */
-    CkptStatus parse(std::vector<std::uint8_t> bytes);
+    CkptReader() = default;
+    CkptReader(const CkptReader &) = delete;
+    CkptReader &operator=(const CkptReader &) = delete;
 
-    /** Read and validate a file. */
-    CkptStatus read_file(const std::string &path);
+    /**
+     * Validate @p bytes; on kOk, populates this reader. The section
+     * CRCs are checked on @p pool, one task per section, when one is
+     * given.
+     */
+    CkptStatus parse(std::vector<std::uint8_t> bytes,
+                     ThreadPool *pool = nullptr);
+
+    /** Read a file in one piece and parse() it. */
+    CkptStatus read_file(const std::string &path, ThreadPool *pool = nullptr);
 
     /** Section payload by name; nullptr when absent. */
-    const std::vector<std::uint8_t> *section(const std::string &name) const;
+    const std::span<const std::uint8_t> *section(std::string_view name) const;
 
     const std::vector<CkptSection> &sections() const { return sections_; }
 
   private:
+    std::vector<std::uint8_t> bytes_;
     std::vector<CkptSection> sections_;
 };
 

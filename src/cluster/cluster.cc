@@ -73,15 +73,18 @@ Cluster::pick_machine(std::uint64_t pages)
 }
 
 bool
-Cluster::schedule_new_job(SimTime now)
+Cluster::schedule_new_job(SimTime now, std::uint32_t *unplaced_pages)
 {
     std::size_t profile_idx = config_.mix.sample(rng_);
     const JobProfile &profile = config_.mix.profiles[profile_idx];
     auto job = std::make_unique<Job>(next_job_id_, profile,
                                      rng_.next_u64(), now);
     Machine *machine = pick_machine(job->memcg().num_pages());
-    if (machine == nullptr)
+    if (machine == nullptr) {
+        if (unplaced_pages != nullptr)
+            *unplaced_pages = job->memcg().num_pages();
         return false;
+    }
     ++next_job_id_;
     machine->add_job(std::move(job));
     return true;
@@ -100,8 +103,19 @@ Cluster::populate(SimTime now)
         resident += machine->resident_pages();
     while (resident < target) {
         std::uint64_t before = resident;
-        if (!schedule_new_job(now))
+        std::uint32_t unplaced_pages = 0;
+        if (!schedule_new_job(now, &unplaced_pages)) {
+            // Population stops at the first job that fits nowhere; if
+            // that was the first job, the cluster runs empty.
+            if (num_jobs() == 0) {
+                warn("cluster %u placed no job: its first job needs %u "
+                     "pages, and no machine takes it (dram_pages %llu)",
+                     cluster_id_, unplaced_pages,
+                     static_cast<unsigned long long>(
+                         config_.machine.dram_pages));
+            }
             break;
+        }
         resident = 0;
         for (const auto &machine : machines_)
             resident += machine->resident_pages();

@@ -207,8 +207,10 @@ class Cluster
     /** Place a job on a machine with capacity; null if none fits. */
     Machine *pick_machine(std::uint64_t pages);
 
-    /** Create and place one sampled job; false if nothing fits. */
-    bool schedule_new_job(SimTime now);
+    /** Create and place one sampled job; false if nothing fits, with
+     *  the unplaced job's size in @p unplaced_pages when given. */
+    bool schedule_new_job(SimTime now,
+                          std::uint32_t *unplaced_pages = nullptr);
 
     std::uint32_t cluster_id_;
     // sdfm-state: config(fixed at construction; the fleet checkpoint

@@ -12,7 +12,12 @@
  * digest-identical by construction.
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "core/far_memory_system.h"
 
@@ -215,22 +220,21 @@ constexpr std::uint32_t kRolloutSectionVersion = 2;
 CkptStatus
 FarMemorySystem::checkpoint(const std::string &path) const
 {
-    CkptWriter writer;
-    {
-        Serializer s;
+    using SectionSaver = std::function<void(Serializer &)>;
+    std::vector<std::pair<std::string, SectionSaver>> sections;
+    sections.emplace_back("config", [this](Serializer &s) {
         save_fleet_config(s, config_);
-        writer.add_section("config", s.take());
-    }
-    {
-        Serializer s;
+    });
+    sections.emplace_back("fleet", [this](Serializer &s) {
         s.put_i64(now_);
         s.put_u32(static_cast<std::uint32_t>(clusters_.size()));
-        writer.add_section("fleet", s.take());
-    }
+    });
     for (std::size_t c = 0; c < clusters_.size(); ++c) {
-        Serializer s;
-        clusters_[c]->ckpt_save(s);
-        writer.add_section(cluster_section_name(c), s.take());
+        const Cluster *cluster = clusters_[c].get();
+        sections.emplace_back(cluster_section_name(c),
+                              [cluster](Serializer &s) {
+                                  cluster->ckpt_save(s);
+                              });
     }
     // Lease state rides in its own versioned per-cluster section so
     // the cluster/machine wire is unchanged when pooling is off.
@@ -238,40 +242,56 @@ FarMemorySystem::checkpoint(const std::string &path) const
         const MemoryBroker *broker = clusters_[c]->broker();
         if (broker == nullptr)
             continue;
-        Serializer s;
-        s.put_u32(kPoolSectionVersion);
-        broker->ckpt_save(s);
-        writer.add_section(pool_section_name(c), s.take());
+        sections.emplace_back(pool_section_name(c), [broker](Serializer &s) {
+            s.put_u32(kPoolSectionVersion);
+            broker->ckpt_save(s);
+        });
     }
     // The rollout plane rides in its own versioned fleet section so
     // the cluster/machine wire is unchanged when it is disabled.
     if (rollout_ != nullptr) {
-        Serializer s;
-        s.put_u32(kRolloutSectionVersion);
-        rollout_->ckpt_save(s);
-        writer.add_section("rollout", s.take());
+        sections.emplace_back("rollout", [this](Serializer &s) {
+            s.put_u32(kRolloutSectionVersion);
+            rollout_->ckpt_save(s);
+        });
     }
-    return writer.write_file(path);
+    // The container wants ascending names. One buffer, reused for
+    // every section, streams each to the file as soon as it is built,
+    // so the checkpoint never exists in memory beyond its largest
+    // section.
+    std::sort(sections.begin(), sections.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+    CkptWriter writer(path);
+    Serializer s;
+    for (const auto &[name, save] : sections) {
+        s.clear();
+        save(s);
+        writer.add_section(name, s.bytes());
+    }
+    return writer.finish();
 }
 
 CkptStatus
 FarMemorySystem::restore(const std::string &path)
 {
+    // The section CRCs are checked on the worker pool; the replica's
+    // clusters load on this thread (see docs/ARCHITECTURE.md,
+    // "Checkpoint format & recovery model").
     CkptReader reader;
-    CkptStatus status = reader.read_file(path);
+    CkptStatus status = reader.read_file(path, pool_.get());
     if (status != CkptStatus::kOk)
         return status;
 
-    const std::vector<std::uint8_t> *config_bytes =
+    const std::span<const std::uint8_t> *config_bytes =
         reader.section("config");
     if (config_bytes == nullptr)
         return CkptStatus::kCorruptPayload;
     Serializer expected;
     save_fleet_config(expected, config_);
-    if (*config_bytes != expected.bytes())
+    if (!std::ranges::equal(*config_bytes, expected.bytes()))
         return CkptStatus::kConfigMismatch;
 
-    const std::vector<std::uint8_t> *fleet_bytes =
+    const std::span<const std::uint8_t> *fleet_bytes =
         reader.section("fleet");
     if (fleet_bytes == nullptr)
         return CkptStatus::kCorruptPayload;
@@ -288,7 +308,7 @@ FarMemorySystem::restore(const std::string &path)
     // loaded and validated cleanly.
     FarMemorySystem replica(config_);
     for (std::size_t c = 0; c < replica.clusters_.size(); ++c) {
-        const std::vector<std::uint8_t> *bytes =
+        const std::span<const std::uint8_t> *bytes =
             reader.section(cluster_section_name(c));
         if (bytes == nullptr)
             return CkptStatus::kCorruptPayload;
@@ -300,7 +320,7 @@ FarMemorySystem::restore(const std::string &path)
         MemoryBroker *broker = replica.clusters_[c]->broker();
         if (broker == nullptr)
             continue;
-        const std::vector<std::uint8_t> *bytes =
+        const std::span<const std::uint8_t> *bytes =
             reader.section(pool_section_name(c));
         if (bytes == nullptr)
             return CkptStatus::kCorruptPayload;
@@ -322,7 +342,7 @@ FarMemorySystem::restore(const std::string &path)
     }
 
     if (replica.rollout_ != nullptr) {
-        const std::vector<std::uint8_t> *bytes =
+        const std::span<const std::uint8_t> *bytes =
             reader.section("rollout");
         if (bytes == nullptr)
             return CkptStatus::kCorruptPayload;

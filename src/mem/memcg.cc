@@ -11,6 +11,13 @@
 
 namespace sdfm {
 
+namespace {
+
+/** Bytes of one (u32 page, u64 handle) zswap record on the wire. */
+constexpr std::size_t kHandleRecordBytes = 12;
+
+}  // namespace
+
 Memcg::Memcg(JobId id, std::uint32_t num_pages, std::uint64_t content_seed,
              const ContentMix &mix, SimTime start_time)
     : id_(id), content_seed_(content_seed), start_time_(start_time),
@@ -276,10 +283,15 @@ Memcg::ckpt_save(Serializer &s) const
     pages_.ckpt_save(s);
 
     s.put_u64(zswap_pages_);
+    std::uint8_t *out = s.claim(kHandleRecordBytes * zswap_pages_);
+    const std::uint8_t *end = out + kHandleRecordBytes * zswap_pages_;
     pages_.for_each(kPageInZswap, [&](PageId p) {
-        s.put_u32(p);
-        s.put_u64(far_slot_[p]);
+        SDFM_ASSERT(out != end);
+        store_le(out, p);
+        store_le(out + 4, std::uint64_t{far_slot_[p]});
+        out += kHandleRecordBytes;
     });
+    SDFM_ASSERT(out == end);
 
     s.put_age_histogram(cold_hist_);
     s.put_age_histogram(promo_hist_);
@@ -364,14 +376,15 @@ Memcg::ckpt_load(Deserializer &d)
     std::size_t num = pages_.size();
 
     far_slot_.assign(num, 0);
-    std::size_t num_handles = d.get_size(num, 12);
+    std::size_t num_handles = d.get_size(num, kHandleRecordBytes);
     if (!d.ok() || num_handles != flagged_zswap)
         return false;
+    const std::uint8_t *in = d.consume(kHandleRecordBytes * num_handles);
     PageId prev_page = 0;
-    for (std::size_t i = 0; i < num_handles; ++i) {
-        PageId p = d.get_u32();
-        std::uint64_t h = d.get_u64();
-        if (!d.ok() || h == 0 || h > std::numeric_limits<ZsHandle>::max() ||
+    for (std::size_t i = 0; i < num_handles; ++i, in += kHandleRecordBytes) {
+        PageId p = load_le<std::uint32_t>(in);
+        std::uint64_t h = load_le<std::uint64_t>(in + 4);
+        if (h == 0 || h > std::numeric_limits<ZsHandle>::max() ||
             p >= num || (i > 0 && p <= prev_page)) {
             return false;
         }

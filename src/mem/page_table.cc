@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 
 #include "util/digest.h"
 #include "util/invariant.h"
@@ -14,6 +15,9 @@ namespace {
 constexpr std::uint8_t kKnownFlags =
     kPageAccessed | kPageDirty | kPageUnevictable | kPageIncompressible |
     kPageInZswap | kPageInFarTier;
+
+/** Bytes of one page's wire record: age, flags, content, version. */
+constexpr std::size_t kCkptRecordBytes = 5;
 
 }  // namespace
 
@@ -143,7 +147,8 @@ void
 PageTable::ckpt_save(Serializer &s) const
 {
     s.put_u64(num_pages_);
-    for (PageId p = 0; p < num_pages_; ++p) {
+    std::uint8_t *out = s.claim(kCkptRecordBytes * std::size_t{num_pages_});
+    for (PageId p = 0; p < num_pages_; ++p, out += kCkptRecordBytes) {
         std::size_t w = word_of(p);
         std::uint64_t m = bit_of(p);
         std::uint8_t f = 0;
@@ -159,10 +164,10 @@ PageTable::ckpt_save(Serializer &s) const
             f |= kPageInZswap;
         if (in_far_[w] & m)
             f |= kPageInFarTier;
-        s.put_u8(age(p));
-        s.put_u8(f);
-        s.put_u8(content_[p]);
-        s.put_u16(version_[p]);
+        out[0] = age(p);
+        out[1] = f;
+        out[2] = content_[p];
+        store_le(out + 3, version_[p]);
     }
 }
 
@@ -170,18 +175,19 @@ bool
 PageTable::ckpt_load(Deserializer &d, std::uint64_t &flagged_zswap,
                      std::uint64_t &flagged_tier)
 {
-    std::size_t num = d.get_size(0xffffffffu, 5);
+    std::size_t num = d.get_size(0xffffffffu, kCkptRecordBytes);
     if (!d.ok() || num == 0)
         return false;
+    const std::uint8_t *in = d.consume(kCkptRecordBytes * num);
     resize(static_cast<std::uint32_t>(num));
     ring_.fill(0);
     flagged_zswap = 0;
     flagged_tier = 0;
-    for (PageId p = 0; p < num_pages_; ++p) {
-        std::uint8_t age = d.get_u8();
-        std::uint8_t f = d.get_u8();
-        std::uint8_t content = d.get_u8();
-        std::uint16_t version = d.get_u16();
+    for (PageId p = 0; p < num_pages_; ++p, in += kCkptRecordBytes) {
+        std::uint8_t age = in[0];
+        std::uint8_t f = in[1];
+        std::uint8_t content = in[2];
+        std::uint16_t version = load_le<std::uint16_t>(in + 3);
         if ((f & ~kKnownFlags) != 0)
             return false;
         if (content >=

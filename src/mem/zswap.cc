@@ -11,6 +11,13 @@
 
 namespace sdfm {
 
+namespace {
+
+/** Bytes of one (u64 handle, u64 checksum) record on the wire. */
+constexpr std::size_t kChecksumRecordBytes = 16;
+
+}  // namespace
+
 Zswap::Zswap(Compressor *compressor, std::uint64_t rng_seed,
              bool verify_roundtrip)
     : compressor_(compressor),
@@ -199,13 +206,19 @@ Zswap::ckpt_save(Serializer &s) const
     s.put_rng(rng_);
     s.put_bool(verify_roundtrip_);
 
-    s.put_u64(arena_.live_objects());
+    const std::uint64_t live = arena_.live_objects();
+    s.put_u64(live);
+    std::uint8_t *out = s.claim(kChecksumRecordBytes * live);
+    const std::uint8_t *end = out + kChecksumRecordBytes * live;
     for (ZsHandle h = 1; h < arena_.handle_limit(); ++h) {
         if (arena_.is_live(h)) {
-            s.put_u64(h);
-            s.put_u64(arena_.tag(h));
+            SDFM_ASSERT(out != end);
+            store_le(out, std::uint64_t{h});
+            store_le(out + 8, arena_.tag(h));
+            out += kChecksumRecordBytes;
         }
     }
+    SDFM_ASSERT(out == end);
 }
 
 bool
@@ -228,14 +241,15 @@ Zswap::ckpt_load(Deserializer &d)
     if (!d.ok() || verify != verify_roundtrip_)
         return false;
 
-    std::size_t num = d.get_size(arena_.live_objects(), 16);
+    std::size_t num = d.get_size(arena_.live_objects(), kChecksumRecordBytes);
     if (!d.ok() || num != arena_.live_objects())
         return false;
+    const std::uint8_t *in = d.consume(kChecksumRecordBytes * num);
     std::uint64_t prev = 0;
-    for (std::size_t i = 0; i < num; ++i) {
-        std::uint64_t handle = d.get_u64();
-        std::uint64_t sum = d.get_u64();
-        if (!d.ok() || handle > std::numeric_limits<ZsHandle>::max() ||
+    for (std::size_t i = 0; i < num; ++i, in += kChecksumRecordBytes) {
+        std::uint64_t handle = load_le<std::uint64_t>(in);
+        std::uint64_t sum = load_le<std::uint64_t>(in + 8);
+        if (handle > std::numeric_limits<ZsHandle>::max() ||
             !arena_.is_live(static_cast<ZsHandle>(handle)) ||
             (i > 0 && handle <= prev)) {
             return false;

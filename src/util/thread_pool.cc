@@ -1,6 +1,8 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
+#include <exception>
 
 namespace sdfm {
 
@@ -85,19 +87,38 @@ parallel_for(ThreadPool &pool, std::size_t count,
         chunks = count;
     std::size_t chunk_size = (count + chunks - 1) / chunks;
     std::atomic<std::size_t> next{0};
+    // A throwing body must not escape into the worker (that would
+    // terminate the process): every index still runs, and the
+    // exception of the lowest index that threw is rethrown here.
+    std::mutex failure_mutex;
+    std::size_t failed_index = count;
+    std::exception_ptr failure;
+    auto run = [&](std::size_t i) {
+        try {
+            body(i);
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(failure_mutex);
+            if (i < failed_index) {
+                failed_index = i;
+                failure = std::current_exception();
+            }
+        }
+    };
     for (std::size_t c = 0; c < chunks; ++c) {
-        pool.submit([&next, count, chunk_size, &body] {
+        pool.submit([&next, count, chunk_size, &run] {
             for (;;) {
                 std::size_t start = next.fetch_add(chunk_size);
                 if (start >= count)
                     return;
                 std::size_t end = std::min(count, start + chunk_size);
                 for (std::size_t i = start; i < end; ++i)
-                    body(i);
+                    run(i);
             }
         });
     }
     pool.wait_idle();
+    if (failure)
+        std::rethrow_exception(failure);
 }
 
 }  // namespace sdfm

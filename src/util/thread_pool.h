@@ -57,7 +57,9 @@ class ThreadPool
 /**
  * Run body(i) for i in [0, count) across the pool and wait for
  * completion. The body must be safe to invoke concurrently for
- * distinct indices.
+ * distinct indices. When bodies throw, the remaining indices still
+ * run, and the exception of the lowest index that threw is rethrown
+ * on the calling thread; the pool stays usable.
  */
 void parallel_for(ThreadPool &pool, std::size_t count,
                   const std::function<void(std::size_t)> &body);

@@ -123,8 +123,9 @@ void
 AccessPattern::ckpt_save(Serializer &s) const
 {
     s.put_u64(classes_.size());
+    std::uint8_t *out = s.claim(classes_.size());
     for (ReuseClass c : classes_)
-        s.put_u8(static_cast<std::uint8_t>(c));
+        *out++ = static_cast<std::uint8_t>(c);
     s.put_rng(rng_);
     s.put_u64_vec(queue_.raw());
     s.put_i64(next_scan_);
@@ -136,9 +137,10 @@ AccessPattern::ckpt_load(Deserializer &d)
     std::size_t num = d.get_size(0xffffffffu);
     if (!d.ok() || num == 0)
         return false;
+    const std::uint8_t *in = d.consume(num);
     classes_.resize(num);
     for (ReuseClass &c : classes_) {
-        std::uint8_t raw = d.get_u8();
+        std::uint8_t raw = *in++;
         if (raw >= static_cast<std::uint8_t>(ReuseClass::kNumClasses))
             return false;
         c = static_cast<ReuseClass>(raw);

@@ -22,6 +22,10 @@ constexpr std::uint32_t kMaxPagesPerZspage = 4;
 /** Largest handle: handles are u32 entry indices. */
 constexpr std::uint64_t kMaxHandle = std::numeric_limits<ZsHandle>::max();
 
+/** Bytes of one entry record on the wire: u32 size, u16 class,
+ *  u32 zspage, u8 live, u64 payload byte count. */
+constexpr std::size_t kEntryRecordBytes = 19;
+
 static_assert(kNumClasses <= 256, "class indices fit the entry's u8");
 static_assert(kMaxAlloc <= 65535, "payload sizes fit the entry's u16");
 
@@ -380,17 +384,26 @@ ZsmallocArena::ckpt_save(Serializer &s) const
 {
     s.put_bool(keep_payload_bytes_);
     s.put_u64(entries_.size());
+    // One record run: every slot's record, each followed by its
+    // payload bytes when the arena keeps them.
+    std::size_t run = kEntryRecordBytes * (entries_.size() - 1);
+    for (const std::vector<std::uint8_t> &bytes : payloads_)
+        run += bytes.size();
+    std::uint8_t *out = s.claim(run);
     for (std::uint64_t slot = 1; slot < entries_.size(); ++slot) {
         const Entry &entry = entries_[slot];
-        s.put_u32(entry.size);
-        s.put_u16(entry.class_idx);
-        s.put_u32(entry.zspage);
-        s.put_bool(entry.live);
-        static const std::vector<std::uint8_t> kNoBytes;
-        const auto &bytes = keep_payload_bytes_ ? payloads_[slot] : kNoBytes;
-        s.put_u64(bytes.size());
-        for (std::uint8_t byte : bytes)
-            s.put_u8(byte);
+        const std::size_t num_bytes =
+            keep_payload_bytes_ ? payloads_[slot].size() : 0;
+        store_le(out, std::uint32_t{entry.size});
+        store_le(out + 4, std::uint16_t{entry.class_idx});
+        store_le(out + 6, entry.zspage);
+        out[10] = entry.live ? 1 : 0;
+        store_le(out + 11, std::uint64_t{num_bytes});
+        out += kEntryRecordBytes;
+        if (num_bytes > 0) {
+            std::memcpy(out, payloads_[slot].data(), num_bytes);
+            out += num_bytes;
+        }
     }
     s.put_u64(free_entries_.size());
     for (ZsHandle slot : free_entries_)
@@ -432,27 +445,29 @@ ZsmallocArena::ckpt_load(Deserializer &d)
     payloads_.assign(keep_payload_bytes_ ? num_entries : 0, {});
     std::uint64_t live_count = 0;
     for (std::uint64_t slot = 1; slot < entries_.size(); ++slot) {
+        const std::uint8_t *in = d.consume(kEntryRecordBytes);
+        if (in == nullptr)
+            return false;
         Entry &entry = entries_[slot];
-        std::uint32_t size = d.get_u32();
-        std::uint16_t class_idx = d.get_u16();
-        entry.zspage = d.get_u32();
-        entry.live = d.get_bool();
+        std::uint32_t size = load_le<std::uint32_t>(in);
+        std::uint16_t class_idx = load_le<std::uint16_t>(in + 4);
+        entry.zspage = load_le<std::uint32_t>(in + 6);
+        entry.live = in[10] != 0;
+        std::uint64_t num_bytes = load_le<std::uint64_t>(in + 11);
         // Every slot was written by a store, dead ones included.
         if (size > kMaxAlloc || class_idx >= kNumClasses)
             return false;
         entry.size = static_cast<std::uint16_t>(size);
         entry.class_idx = static_cast<std::uint8_t>(class_idx);
-        std::size_t num_bytes = d.get_size(kMaxAlloc);
-        if (!d.ok())
+        if (num_bytes > kMaxAlloc || num_bytes > d.remaining())
             return false;
         if (num_bytes > 0) {
             // Bytes belong to live entries of keep-bytes arenas and
             // cover the whole payload.
             if (!keep_payload_bytes_ || !entry.live || num_bytes != size)
                 return false;
-            payloads_[slot].reserve(num_bytes);
-            for (std::size_t b = 0; b < num_bytes; ++b)
-                payloads_[slot].push_back(d.get_u8());
+            const std::uint8_t *bytes = d.consume(num_bytes);
+            payloads_[slot].assign(bytes, bytes + num_bytes);
         }
         if (entry.live) {
             ++live_count;

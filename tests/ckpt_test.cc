@@ -15,12 +15,15 @@
 #include <cstddef>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "autotune/gp_bandit.h"
+#include "autotune/rollout.h"
 #include "ckpt/checkpoint.h"
 #include "cluster/cluster.h"
 #include "core/far_memory_system.h"
@@ -31,6 +34,7 @@
 #include "node/threshold_controller.h"
 #include "util/digest.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "workload/job.h"
 #include "workload/job_profile.h"
 #include "workload/trace.h"
@@ -105,13 +109,50 @@ TEST(RngCkpt, AllZeroStateIsRejected)
 // Container format
 // ---------------------------------------------------------------------
 
+/** RAII temp checkpoint path (removed on scope exit). */
+struct TempCkpt
+{
+    explicit TempCkpt(const char *name) : path(name) {}
+    ~TempCkpt() { std::remove(path.c_str()); }
+    std::string path;
+};
+
+/** Read a whole file into bytes. */
+std::vector<std::uint8_t>
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
+                                     std::istreambuf_iterator<char>());
+}
+
+using NamedPayloads =
+    std::vector<std::pair<std::string, std::vector<std::uint8_t>>>;
+
+/** The container bytes CkptWriter streams for @p sections, which
+ *  must come in ascending name order. */
+std::vector<std::uint8_t>
+write_container(const NamedPayloads &sections)
+{
+    TempCkpt ckpt("ckpt_container.ckpt");
+    CkptWriter writer(ckpt.path);
+    for (const auto &[name, payload] : sections)
+        writer.add_section(name, payload);
+    EXPECT_EQ(writer.finish(), CkptStatus::kOk);
+    return slurp(ckpt.path);
+}
+
+/** A copy of a section view's bytes. */
+std::vector<std::uint8_t>
+bytes_of(std::span<const std::uint8_t> payload)
+{
+    return std::vector<std::uint8_t>(payload.begin(), payload.end());
+}
+
 TEST(CkptContainer, RoundTripsSections)
 {
-    CkptWriter writer;
-    writer.add_section("zebra", {1, 2, 3});
-    writer.add_section("alpha", {9});
-    writer.add_section("mid", {});
-    std::vector<std::uint8_t> bytes = writer.encode();
+    std::vector<std::uint8_t> bytes = write_container(
+        {{"alpha", {9}}, {"mid", {}}, {"zebra", {1, 2, 3}}});
 
     CkptReader reader;
     ASSERT_EQ(reader.parse(bytes), CkptStatus::kOk);
@@ -121,16 +162,15 @@ TEST(CkptContainer, RoundTripsSections)
     EXPECT_EQ(reader.sections()[1].name, "mid");
     EXPECT_EQ(reader.sections()[2].name, "zebra");
     ASSERT_NE(reader.section("zebra"), nullptr);
-    EXPECT_EQ(*reader.section("zebra"),
+    EXPECT_EQ(bytes_of(*reader.section("zebra")),
               (std::vector<std::uint8_t>{1, 2, 3}));
     EXPECT_EQ(reader.section("absent"), nullptr);
 }
 
 TEST(CkptContainer, RejectsTamperedBytes)
 {
-    CkptWriter writer;
-    writer.add_section("data", {10, 20, 30, 40});
-    std::vector<std::uint8_t> good = writer.encode();
+    std::vector<std::uint8_t> good =
+        write_container({{"data", {10, 20, 30, 40}}});
 
     {  // truncation anywhere in the tail
         for (std::size_t cut = 1; cut <= 6; ++cut) {
@@ -158,6 +198,205 @@ TEST(CkptContainer, RejectsTamperedBytes)
         CkptReader reader;
         EXPECT_EQ(reader.parse(bad), CkptStatus::kBadVersion);
     }
+}
+
+// ---------------------------------------------------------------------
+// Byte-level edges of the word-at-a-time serializer, the slicing-by-8
+// CRC and the container framing. Inputs sit in allocations that end
+// exactly where the input does, so a sanitizer build catches any read
+// past the end.
+// ---------------------------------------------------------------------
+
+/** CRC32 (IEEE 802.3) one bit at a time, straight from the polynomial. */
+std::uint32_t
+reference_crc32(const std::uint8_t *data, std::size_t size)
+{
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) {
+        c ^= data[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+TEST(CkptBytes, Crc32KnownAnswers)
+{
+    const std::string check = "123456789";
+    EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t *>(check.data()),
+                    check.size()),
+              0xCBF43926u);
+    EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(CkptBytes, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset)
+{
+    Rng rng(2024);
+    std::vector<std::uint8_t> random(64 + 8);
+    for (std::uint8_t &byte : random)
+        byte = static_cast<std::uint8_t>(rng.next_u64());
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 64; ++len) {
+            std::vector<std::uint8_t> buf(random.begin(),
+                                          random.begin() +
+                                              static_cast<long>(offset + len));
+            EXPECT_EQ(crc32(buf.data() + offset, len),
+                      reference_crc32(buf.data() + offset, len))
+                << "offset " << offset << ", length " << len;
+        }
+    }
+}
+
+TEST(CkptBytes, PutsWriteLittleEndianBytes)
+{
+    Serializer s;
+    s.put_u16(0x0102);
+    s.put_u32(0x03040506u);
+    s.put_u64(0x0708090A0B0C0D0EULL);
+    s.put_double(-2.0);  // IEEE-754 bits 0xC000000000000000
+    EXPECT_EQ(s.bytes(),
+              (std::vector<std::uint8_t>{
+                  0x02, 0x01,                                      // u16
+                  0x06, 0x05, 0x04, 0x03,                          // u32
+                  0x0E, 0x0D, 0x0C, 0x0B, 0x0A, 0x09, 0x08, 0x07,  // u64
+                  0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xC0,  // double
+              }));
+}
+
+/** Every read of a getter @p width bytes wide from fewer bytes than
+ *  that returns the empty value and fails the stream for good. */
+template <typename Get>
+void
+expect_short_read_fails(std::size_t width, Get get)
+{
+    for (std::size_t have = 0; have < width; ++have) {
+        SCOPED_TRACE(have);
+        // With the buffer size a known constant, GCC 12's
+        // -Warray-bounds flags the load that consume()'s bounds check
+        // skips; a size it cannot fold keeps the warning quiet.
+        volatile std::size_t opaque_size = have;
+        std::vector<std::uint8_t> bytes(opaque_size, 0xFF);
+        Deserializer d(bytes.data(), bytes.size());
+        using Value = decltype(get(d));
+        EXPECT_EQ(get(d), Value{});
+        EXPECT_FALSE(d.ok());
+        EXPECT_EQ(d.get_u8(), 0u);
+        EXPECT_FALSE(d.ok());
+    }
+}
+
+TEST(CkptBytes, ShortReadsReturnZeroAndStayFailed)
+{
+    expect_short_read_fails(1, [](Deserializer &d) { return d.get_u8(); });
+    expect_short_read_fails(1, [](Deserializer &d) { return d.get_bool(); });
+    expect_short_read_fails(2, [](Deserializer &d) { return d.get_u16(); });
+    expect_short_read_fails(4, [](Deserializer &d) { return d.get_u32(); });
+    expect_short_read_fails(8, [](Deserializer &d) { return d.get_u64(); });
+    expect_short_read_fails(8, [](Deserializer &d) { return d.get_i64(); });
+    expect_short_read_fails(8,
+                            [](Deserializer &d) { return d.get_double(); });
+    expect_short_read_fails(8,
+                            [](Deserializer &d) { return d.get_string(); });
+    expect_short_read_fails(8,
+                            [](Deserializer &d) { return d.get_u64_vec(); });
+}
+
+TEST(CkptBytes, CountsPastTheRemainingBytesFailWithoutAllocating)
+{
+    for (std::uint64_t count :
+         {std::uint64_t{2}, std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+        SCOPED_TRACE(count);
+        Serializer s;
+        s.put_u64(count);
+        s.put_u64(0x1122334455667788ULL);  // room for one u64, 8 chars
+        {
+            Deserializer d(s.bytes());
+            std::vector<std::uint64_t> v = d.get_u64_vec();
+            EXPECT_FALSE(d.ok());
+            EXPECT_TRUE(v.empty());
+            EXPECT_EQ(v.capacity(), 0u);
+        }
+        if (count > 8) {
+            Deserializer d(s.bytes());
+            std::string str = d.get_string();
+            EXPECT_FALSE(d.ok());
+            EXPECT_TRUE(str.empty());
+            EXPECT_EQ(str.capacity(), std::string().capacity());
+        }
+    }
+}
+
+const NamedPayloads kThreeSections = {
+    {"alpha", {1, 2, 3}},
+    {"beta", {}},
+    {"gamma", {4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}},
+};
+
+TEST(CkptBytes, ContainerCutAtEveryOffsetIsTruncated)
+{
+    const std::vector<std::uint8_t> good = write_container(kThreeSections);
+    {
+        CkptReader reader;
+        ASSERT_EQ(reader.parse(good), CkptStatus::kOk);
+    }
+    for (std::size_t cut = 0; cut < good.size(); ++cut) {
+        CkptReader reader;
+        EXPECT_EQ(reader.parse(std::vector<std::uint8_t>(
+                      good.begin(), good.begin() + static_cast<long>(cut))),
+                  CkptStatus::kTruncated)
+            << "cut at " << cut;
+        EXPECT_TRUE(reader.sections().empty());
+    }
+}
+
+TEST(CkptBytes, EveryPayloadBitFlipIsACrcMismatch)
+{
+    const std::vector<std::uint8_t> good = write_container(kThreeSections);
+    ThreadPool pool(2);
+    std::size_t at = 16;  // magic, version, section count
+    for (const auto &[name, payload] : kThreeSections) {
+        at += 4 + name.size() + 8;
+        for (std::size_t i = 0; i < payload.size(); ++i) {
+            for (int bit = 0; bit < 8; ++bit) {
+                std::vector<std::uint8_t> bad = good;
+                bad[at + i] ^= static_cast<std::uint8_t>(1u << bit);
+                CkptReader serial;
+                EXPECT_EQ(serial.parse(bad), CkptStatus::kCrcMismatch)
+                    << name << " byte " << i << " bit " << bit;
+                CkptReader pooled;
+                EXPECT_EQ(pooled.parse(bad, &pool), CkptStatus::kCrcMismatch)
+                    << name << " byte " << i << " bit " << bit;
+            }
+        }
+        at += payload.size() + 4;
+    }
+    EXPECT_EQ(at, good.size());
+}
+
+// read_file sizes its buffer from the file's length, so a path whose
+// "length" is no byte count must be refused before any allocation.
+TEST(CkptBytes, ReadFileRefusesMissingFilesAndDirectories)
+{
+    CkptReader reader;
+    EXPECT_EQ(reader.read_file("no_such_checkpoint.ckpt"),
+              CkptStatus::kIoError);
+    EXPECT_EQ(reader.read_file("."), CkptStatus::kIoError);
+}
+
+TEST(CkptContainerDeathTest, SectionsOutOfNameOrderDie)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    TempCkpt ckpt("ckpt_out_of_order.ckpt");
+    const std::vector<std::uint8_t> payload = {1};
+    EXPECT_DEATH(
+        {
+            CkptWriter writer(ckpt.path);
+            writer.add_section("beta", payload);
+            writer.add_section("alpha", payload);
+        },
+        "assertion failed");
+    // The dying writer could not remove its temp file.
+    std::remove((ckpt.path + ".tmp").c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -580,14 +819,6 @@ small_fleet_config()
     return config;
 }
 
-/** RAII temp checkpoint path (removed on scope exit). */
-struct TempCkpt
-{
-    explicit TempCkpt(const char *name) : path(name) {}
-    ~TempCkpt() { std::remove(path.c_str()); }
-    std::string path;
-};
-
 TEST(FleetCkpt, RestoreAtKReproducesUninterruptedTrajectory)
 {
     TempCkpt ckpt("fleet_ckpt_traj.ckpt");
@@ -639,15 +870,6 @@ TEST(FleetCkpt, RestoreIntoPopulatedFleetReplacesState)
     ASSERT_NE(a.state_digest(), digest_at_ckpt);
     ASSERT_EQ(a.restore(ckpt.path), CkptStatus::kOk);
     EXPECT_EQ(a.state_digest(), digest_at_ckpt);
-}
-
-/** Read a whole file into bytes. */
-std::vector<std::uint8_t>
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
-                                     std::istreambuf_iterator<char>());
 }
 
 /** Write bytes to a file. */
@@ -714,14 +936,15 @@ TEST(FleetCkpt, RejectionsLeaveLiveFleetUntouched)
     {  // CRC-valid but semantically corrupt section payload
         CkptReader reader;
         ASSERT_EQ(reader.read_file(good.path), CkptStatus::kOk);
-        CkptWriter writer;
+        const std::vector<std::uint8_t> garbage = {0xDE, 0xAD, 0xBE};
+        CkptWriter writer(bad.path);
         for (const CkptSection &section : reader.sections()) {
             if (section.name == "cluster.0000")
-                writer.add_section(section.name, {0xDE, 0xAD, 0xBE});
+                writer.add_section(section.name, garbage);
             else
                 writer.add_section(section.name, section.payload);
         }
-        ASSERT_EQ(writer.write_file(bad.path), CkptStatus::kOk);
+        ASSERT_EQ(writer.finish(), CkptStatus::kOk);
         expect_rejected(CkptStatus::kCorruptPayload);
     }
 }
@@ -749,10 +972,11 @@ TEST(FleetCkpt, CorruptEventArrayIsRejected)
         SCOPED_TRACE(c.what);
         std::vector<std::uint8_t> corrupt =
             corrupt_event_array(pattern_bytes, c);
-        CkptWriter writer;
+        CkptWriter writer(bad.path);
         bool replaced = false;
         for (const CkptSection &section : reader.sections()) {
-            std::vector<std::uint8_t> payload = section.payload;
+            std::vector<std::uint8_t> payload(section.payload.begin(),
+                                              section.payload.end());
             if (section.name == "cluster.0000") {
                 auto at = std::search(payload.begin(), payload.end(),
                                       pattern_bytes.begin(),
@@ -764,7 +988,7 @@ TEST(FleetCkpt, CorruptEventArrayIsRejected)
             writer.add_section(section.name, std::move(payload));
         }
         ASSERT_TRUE(replaced);
-        ASSERT_EQ(writer.write_file(bad.path), CkptStatus::kOk);
+        ASSERT_EQ(writer.finish(), CkptStatus::kOk);
         EXPECT_EQ(fleet.restore(bad.path), CkptStatus::kCorruptPayload);
         EXPECT_EQ(fleet.state_digest(), live_digest)
             << "a rejected restore mutated the live fleet";
@@ -837,10 +1061,11 @@ TEST(FleetCkpt, CorruptZswapHandlesAreRejected)
         SCOPED_TRACE(what);
         std::vector<std::uint8_t> corrupt = memcg_bytes;
         poke_u64(corrupt, first, handle);
-        CkptWriter writer;
+        CkptWriter writer(bad.path);
         bool replaced = false;
         for (const CkptSection &section : reader.sections()) {
-            std::vector<std::uint8_t> payload = section.payload;
+            std::vector<std::uint8_t> payload(section.payload.begin(),
+                                              section.payload.end());
             if (section.name == "cluster.0000") {
                 auto at = std::search(payload.begin(), payload.end(),
                                       memcg_bytes.begin(),
@@ -852,7 +1077,7 @@ TEST(FleetCkpt, CorruptZswapHandlesAreRejected)
             writer.add_section(section.name, std::move(payload));
         }
         ASSERT_TRUE(replaced);
-        ASSERT_EQ(writer.write_file(bad.path), CkptStatus::kOk);
+        ASSERT_EQ(writer.finish(), CkptStatus::kOk);
         EXPECT_EQ(fleet.restore(bad.path), CkptStatus::kCorruptPayload);
         EXPECT_EQ(fleet.state_digest(), live_digest)
             << "a rejected restore mutated the live fleet";
@@ -1068,6 +1293,117 @@ TEST(FleetCkpt, FarPageRecordsMatchPinnedCheckpoints)
         expect_pinned(fleet, config, 0x84b4bccef62360beULL,
                       0xec17b7ae40eea95fULL);
     }
+}
+
+/** Two clusters on an NVM + remote stack with revocable pooled leases
+ *  and a staged rollout; @p serial picks serial stepping. */
+FleetConfig
+pooled_rollout_config(bool serial)
+{
+    FleetConfig config;
+    config.num_clusters = 2;
+    config.seed = 61;
+    config.serial_step = serial;
+    config.cluster.num_machines = 3;
+    config.cluster.machine.dram_pages = 16 * 1024;
+    TierConfig remote = remote_tier_config();
+    remote.band_lo = 2.0;
+    remote.band_hi = 0.0;
+    config.cluster.machine.tiers = {nvm_tier("nvm", 1024, 1.0, 2.0), remote};
+    config.cluster.machine.slo_breaker_enabled = true;
+    config.cluster.machine.fault.enabled = true;
+    config.cluster.machine.fault.zswap_corruption_prob = 0.2;
+    MemPoolParams &pool = config.cluster.pool;
+    pool.enabled = true;
+    pool.lease_pages = 1024;
+    pool.max_leases_per_borrower = 2;
+    pool.lease_term_periods = 4;
+    pool.grace_periods = 2;
+    pool.drain_pages_per_period = 512;
+    pool.donor_reserve_frac = 0.08;
+    config.rollout.enabled = true;
+    config.rollout.seed = 11;
+    config.rollout.stage_fractions = {0.25, 1.0};
+    config.rollout.baseline_periods = 3;
+    config.rollout.observe_periods = 4;
+    config.rollout.fault.enabled = true;
+    config.rollout.fault.config_push_loss_prob = 0.2;
+    config.cluster.mix = typical_fleet_mix();
+    return config;
+}
+
+/** Populate, step, age a backlog into the remote band, propose a
+ *  candidate SLO and step into its canary stage. */
+void
+run_into_rollout(FarMemorySystem &fleet)
+{
+    fleet.populate();
+    for (int i = 0; i < 6; ++i)
+        fleet.step();
+    // Proactive reclaim demotes pages as they cross T, into the NVM
+    // band; saturate a backlog by hand so the remote band fills too.
+    for (const auto &cluster : fleet.clusters()) {
+        for (const auto &machine : cluster->machines()) {
+            if (machine->jobs().empty())
+                continue;
+            Memcg &cg = machine->jobs().front()->memcg();
+            std::uint32_t aged = 0;
+            for (PageId p = 0; p < cg.num_pages() && aged < 256; ++p) {
+                if (cg.pages().in_far_memory(p) ||
+                    cg.page_test(p, kPageAccessed) ||
+                    cg.page_test(p, kPageUnevictable)) {
+                    continue;
+                }
+                cg.set_page_age(p, 255);
+                ++aged;
+            }
+        }
+    }
+    SloConfig candidate;
+    candidate.percentile_k = 95.0;
+    ASSERT_TRUE(fleet.propose_slo(candidate));
+    for (int i = 0; i < 6; ++i)
+        fleet.step();
+}
+
+// A fleet that steps on its worker pool, with every section kind in
+// its checkpoint: clusters on an NVM + remote stack, "pool.NNNN" lease
+// tables with leases granted and revoked, and a "rollout" campaign in
+// flight. The digest and the file's StateDigest were captured on the
+// build that concatenated every section in memory before one write
+// and checked CRCs on the calling thread. A serial twin writes the
+// same bytes, and a restore on the pool lands on the same digest.
+TEST(FleetCkpt, PooledRolloutFleetMatchesPinnedCheckpoint)
+{
+    constexpr std::uint64_t kDigest = 0x6b823e019b84606bULL;
+    constexpr std::uint64_t kFileHash = 0x4eba16a1992feac8ULL;
+    TempCkpt ckpt("fleet_ckpt_pooled_rollout.ckpt");
+    TempCkpt twin_ckpt("fleet_ckpt_pooled_rollout_serial.ckpt");
+
+    FleetConfig config = pooled_rollout_config(false);
+    FarMemorySystem fleet(config);
+    run_into_rollout(fleet);
+    ASSERT_NE(fleet.rollout()->state(), RolloutState::kIdle);
+    FleetFaultReport report = fleet.fault_report();
+    ASSERT_GT(report.pool_leases_granted, 0u);
+    ASSERT_GT(report.pool_revocations, 0u);
+    MetricsSnapshot snap = fleet.fleet_telemetry();
+    ASSERT_GT(snap.gauges.at("tier.nvm.stored_pages"), 0.0);
+    ASSERT_GT(snap.gauges.at("tier.remote.stored_pages"), 0.0);
+    EXPECT_EQ(fleet.state_digest(), kDigest);
+    ASSERT_EQ(fleet.checkpoint(ckpt.path), CkptStatus::kOk);
+    EXPECT_EQ(file_hash(ckpt.path), kFileHash);
+
+    FarMemorySystem twin(pooled_rollout_config(true));
+    run_into_rollout(twin);
+    EXPECT_EQ(twin.state_digest(), kDigest);
+    ASSERT_EQ(twin.checkpoint(twin_ckpt.path), CkptStatus::kOk);
+    EXPECT_EQ(file_hash(twin_ckpt.path), kFileHash);
+
+    FarMemorySystem resumed(config);
+    ASSERT_EQ(resumed.restore(ckpt.path), CkptStatus::kOk);
+    EXPECT_EQ(resumed.state_digest(), kDigest);
+    EXPECT_EQ(resumed.rollout()->state(), fleet.rollout()->state());
 }
 
 }  // namespace

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/far_memory_system.h"
 #include "core/reports.h"
+#include "util/logging.h"
 
 namespace sdfm {
 namespace {
@@ -87,6 +90,49 @@ TEST(FarMemorySystemTest, JobColdFractionsPopulated)
 }
 
 // ----------------------------------------------------------------- TCO
+
+/** Populate a 1-cluster, 2-machine fleet of @p dram_pages machines
+ *  with warnings on, returning what populate() printed to stderr. */
+std::string
+populate_stderr(std::uint64_t seed, std::uint64_t dram_pages,
+                std::uint64_t &jobs)
+{
+    FleetConfig config;
+    config.num_clusters = 1;
+    config.seed = seed;
+    config.cluster.num_machines = 2;
+    config.cluster.machine.dram_pages = dram_pages;
+    config.cluster.mix = typical_fleet_mix();
+    FarMemorySystem fleet(config);
+    set_log_quiet(false);
+    testing::internal::CaptureStderr();
+    fleet.populate();
+    std::string err = testing::internal::GetCapturedStderr();
+    jobs = fleet.num_jobs();
+    return err;
+}
+
+// Population stops at the first job that fits no machine. When that
+// is the cluster's first job, the cluster runs with no job at all, and
+// populate() must say so.
+TEST(FarMemorySystemTest, ClusterThatPlacesNoJobWarns)
+{
+    for (std::uint64_t seed : {21u, 45u}) {
+        SCOPED_TRACE(seed);
+        std::uint64_t jobs = 1;
+        std::string err = populate_stderr(seed, 16 * 1024, jobs);
+        EXPECT_EQ(jobs, 0u);
+        EXPECT_NE(err.find("cluster 0 placed no job"), std::string::npos)
+            << err;
+        EXPECT_NE(err.find("dram_pages 16384"), std::string::npos) << err;
+    }
+    {  // 32 Ki-page machines take the same first jobs
+        std::uint64_t jobs = 0;
+        std::string err = populate_stderr(21, 32 * 1024, jobs);
+        EXPECT_GT(jobs, 0u);
+        EXPECT_EQ(err.find("placed no job"), std::string::npos) << err;
+    }
+}
 
 TEST(TcoModelTest, PaperHeadlineNumbers)
 {

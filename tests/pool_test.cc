@@ -16,6 +16,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -731,7 +732,7 @@ TEST(PoolCkpt, CorruptLeaseTableRejectsRestoreAndSparesLiveFleet)
         [&](const std::vector<std::uint8_t> &payload) {
             CkptReader reader;
             ASSERT_EQ(reader.read_file(good.path), CkptStatus::kOk);
-            CkptWriter writer;
+            CkptWriter writer(bad.path);
             bool found = false;
             for (const CkptSection &section : reader.sections()) {
                 if (section.name == "pool.0000") {
@@ -743,7 +744,7 @@ TEST(PoolCkpt, CorruptLeaseTableRejectsRestoreAndSparesLiveFleet)
             }
             ASSERT_TRUE(found) << "pooled checkpoint lacks its pool "
                                   "section";
-            ASSERT_EQ(writer.write_file(bad.path), CkptStatus::kOk);
+            ASSERT_EQ(writer.finish(), CkptStatus::kOk);
         };
 
     auto expect_rejected = [&](CkptStatus want) {
@@ -759,10 +760,10 @@ TEST(PoolCkpt, CorruptLeaseTableRejectsRestoreAndSparesLiveFleet)
     {  // pool section from a different wire lineage
         CkptReader reader;
         ASSERT_EQ(reader.read_file(good.path), CkptStatus::kOk);
-        const std::vector<std::uint8_t> *payload =
+        const std::span<const std::uint8_t> *payload =
             reader.section("pool.0000");
         ASSERT_NE(payload, nullptr);
-        std::vector<std::uint8_t> versioned = *payload;
+        std::vector<std::uint8_t> versioned(payload->begin(), payload->end());
         versioned[0] ^= 0x08;  // the section's own version u32
         rewrite_pool_section(versioned);
         expect_rejected(CkptStatus::kBadVersion);
@@ -772,7 +773,7 @@ TEST(PoolCkpt, CorruptLeaseTableRejectsRestoreAndSparesLiveFleet)
        // ckpt_load or ckpt_resolve must catch the inconsistency
         CkptReader reader;
         ASSERT_EQ(reader.read_file(good.path), CkptStatus::kOk);
-        const std::vector<std::uint8_t> *payload =
+        const std::span<const std::uint8_t> *payload =
             reader.section("pool.0000");
         ASSERT_NE(payload, nullptr);
         std::vector<std::uint8_t> truncated(
@@ -783,12 +784,12 @@ TEST(PoolCkpt, CorruptLeaseTableRejectsRestoreAndSparesLiveFleet)
     {  // dropping the pool section entirely is also a corrupt file
         CkptReader reader;
         ASSERT_EQ(reader.read_file(good.path), CkptStatus::kOk);
-        CkptWriter writer;
+        CkptWriter writer(bad.path);
         for (const CkptSection &section : reader.sections()) {
             if (section.name != "pool.0000")
                 writer.add_section(section.name, section.payload);
         }
-        ASSERT_EQ(writer.write_file(bad.path), CkptStatus::kOk);
+        ASSERT_EQ(writer.finish(), CkptStatus::kOk);
         expect_rejected(CkptStatus::kCorruptPayload);
     }
 }

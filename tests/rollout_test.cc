@@ -644,14 +644,15 @@ TEST(RolloutFleetTest, CorruptRolloutSectionSparesTheLiveFleet)
     {
         CkptReader reader;
         ASSERT_EQ(reader.read_file(good.path), CkptStatus::kOk);
-        CkptWriter writer;
+        const std::vector<std::uint8_t> garbage = {0xDE, 0xAD, 0xBE};
+        CkptWriter writer(bad.path);
         for (const CkptSection &section : reader.sections()) {
             if (section.name == "rollout")
-                writer.add_section(section.name, {0xDE, 0xAD, 0xBE});
+                writer.add_section(section.name, garbage);
             else
                 writer.add_section(section.name, section.payload);
         }
-        ASSERT_EQ(writer.write_file(bad.path), CkptStatus::kOk);
+        ASSERT_EQ(writer.finish(), CkptStatus::kOk);
     }
     std::uint64_t before = fleet.state_digest();
     EXPECT_EQ(fleet.restore(bad.path), CkptStatus::kCorruptPayload);
@@ -661,12 +662,12 @@ TEST(RolloutFleetTest, CorruptRolloutSectionSparesTheLiveFleet)
     {
         CkptReader reader;
         ASSERT_EQ(reader.read_file(good.path), CkptStatus::kOk);
-        CkptWriter writer;
+        CkptWriter writer(bad.path);
         for (const CkptSection &section : reader.sections()) {
             if (section.name != "rollout")
                 writer.add_section(section.name, section.payload);
         }
-        ASSERT_EQ(writer.write_file(bad.path), CkptStatus::kOk);
+        ASSERT_EQ(writer.finish(), CkptStatus::kOk);
     }
     EXPECT_EQ(fleet.restore(bad.path), CkptStatus::kCorruptPayload);
     EXPECT_EQ(fleet.state_digest(), before);

@@ -11,6 +11,9 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/age_histogram.h"
 #include "util/linalg.h"
@@ -451,6 +454,32 @@ TEST(ThreadPoolTest, ParallelForCoversIndexSpace)
     parallel_for(pool, hits.size(),
                  [&](std::size_t i) { ++hits[i]; });
     for (const auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
+}
+
+// A throwing body must not terminate the process from a worker: the
+// other indices still run, the caller sees the exception of the lowest
+// index that threw, and the pool keeps working.
+TEST(ThreadPoolTest, ParallelForRethrowsLowestFailingIndex)
+{
+    ThreadPool pool(4);
+    std::vector<std::atomic<int>> hits(16);
+    try {
+        parallel_for(pool, hits.size(), [&](std::size_t i) {
+            ++hits[i];
+            if (i == 3 || i == 7)
+                throw std::runtime_error(std::to_string(i));
+        });
+        FAIL() << "parallel_for swallowed the exceptions";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "3");
+    }
+    for (const auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
+
+    std::vector<std::atomic<int>> again(16);
+    parallel_for(pool, again.size(), [&](std::size_t i) { ++again[i]; });
+    for (const auto &h : again)
         EXPECT_EQ(h.load(), 1);
 }
 
