@@ -2,8 +2,8 @@
  * @file
  * Substrate micro-benchmarks (google-benchmark): szo compression and
  * decompression throughput per content class, zsmalloc operations and
- * compaction, kstaled scan throughput, the far-memory model's replay
- * rate, and GP fit/predict cost.
+ * compaction, kstaled scan throughput, the access-event queue's drain,
+ * the far-memory model's replay rate, and GP fit/predict cost.
  */
 
 #include <benchmark/benchmark.h>
@@ -19,6 +19,7 @@
 #include "mem/memcg.h"
 #include "model/far_memory_model.h"
 #include "util/rng.h"
+#include "workload/event_queue.h"
 #include "zsmalloc/zsmalloc.h"
 
 namespace sdfm {
@@ -142,6 +143,45 @@ BM_KstaledScan(benchmark::State &state)
                             static_cast<std::int64_t>(pages));
 }
 BENCHMARK(BM_KstaledScan)->Arg(4096)->Arg(65536);
+
+// ---------------------------------------------------- access events
+
+/**
+ * One simulated minute of EventQueue drain per iteration. Every
+ * handed-over event reschedules its page by a pre-drawn gap
+ * (exponential, mean 60 s), so the queue's own work is what is timed:
+ * about one event per queued page per minute. Args: pages, pages
+ * queued (every page, or 3% of them spread across the job).
+ * time_per_event is the time per handed-over event.
+ */
+void
+BM_EventQueueDrain(benchmark::State &state)
+{
+    const auto pages = static_cast<std::uint32_t>(state.range(0));
+    const auto queued = static_cast<std::uint32_t>(state.range(1));
+    Rng rng(7);
+    std::vector<SimTime> gaps(4096);
+    for (SimTime &gap : gaps)
+        gap = 1 + static_cast<SimTime>(rng.next_exponential(1.0 / 60.0));
+    EventQueue queue(0, pages);
+    for (std::uint32_t i = 0; i < queued; ++i) {
+        queue.emplace(static_cast<SimTime>(rng.next_below(60)),
+                      i * (pages / queued));
+    }
+    SimTime now = 0;
+    std::size_t next_gap = 0;
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        now += kMinute;
+        events += queue.drain_until(now, [&](SimTime t, PageId page) {
+            return EventQueue::make_key(t + gaps[next_gap++ & 4095], page);
+        });
+    }
+    state.counters["time_per_event"] = benchmark::Counter(
+        static_cast<double>(events),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EventQueueDrain)->Args({4096, 4096})->Args({16384, 492});
 
 // ------------------------------------------------------- checkpoint
 

@@ -52,10 +52,12 @@ namespace sdfm {
 /** "SDFMCKPT", read as a little-endian u64. */
 inline constexpr std::uint64_t kCkptMagic = 0x54504B434D464453ULL;
 
-/** Wire-format version this build writes and accepts. Version 5:
- *  the remote tier has one (lease-slot) layout without a donor
- *  cursor, and the config fingerprint lost the single-tier machine
- *  fields and the remote tier's static-capacity params. (Version 4:
+/** Wire-format version this build writes and accepts. Version 6:
+ *  each job's access events are one strictly ascending key array,
+ *  not the event heap's layout. (Version 5: the remote tier has one
+ *  (lease-slot) layout without a donor cursor, and the config
+ *  fingerprint lost the single-tier machine fields and the remote
+ *  tier's static-capacity params. Version 4:
  *  the metric-registry blobs left the machine, "pool.NNNN" and
  *  "rollout" sections; telemetry-only counters, histograms and
  *  sampled levels ride in the subsystem stats they belong to.
@@ -65,7 +67,7 @@ inline constexpr std::uint64_t kCkptMagic = 0x54504B434D464453ULL;
  *  memory-pooling fault kinds grew the per-machine FaultInjector
  *  stats block, and pooled fleets added "pool.NNNN" lease
  *  sections.) */
-inline constexpr std::uint32_t kCkptFormatVersion = 5;
+inline constexpr std::uint32_t kCkptFormatVersion = 6;
 
 /** Typed outcome of checkpoint container and restore operations. */
 enum class CkptStatus : std::uint8_t

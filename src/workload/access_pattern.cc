@@ -26,7 +26,7 @@ to_gap(double seconds)
 
 AccessPattern::AccessPattern(const JobProfile &profile,
                              std::uint32_t num_pages, Rng rng, SimTime start)
-    : profile_(profile), rng_(std::move(rng))
+    : profile_(profile), rng_(std::move(rng)), queue_(start, num_pages)
 {
     SDFM_ASSERT(num_pages > 0);
 
@@ -90,7 +90,6 @@ AccessPattern::AccessPattern(const JobProfile &profile,
     // Stagger initial accesses: active classes start within the
     // first minutes, cold/frozen pages get one early touch and then
     // follow their distribution.
-    queue_.reserve(num_pages);
     for (PageId p = 0; p < num_pages; ++p) {
         SimTime first;
         switch (classes_[p]) {
@@ -146,10 +145,10 @@ AccessPattern::ckpt_load(Deserializer &d)
         c = static_cast<ReuseClass>(raw);
     }
     d.get_rng(rng_);
-    std::vector<std::uint64_t> heap = d.get_u64_vec();
+    std::vector<std::uint64_t> events = d.get_u64_vec();
     next_scan_ = d.get_i64();
     if (!d.ok() ||
-        !queue_.restore_raw(std::move(heap), static_cast<std::uint32_t>(num)))
+        !queue_.restore_raw(std::move(events), static_cast<std::uint32_t>(num)))
         return false;
     if ((profile_.scan_interval_mean > 0) != (next_scan_ != 0))
         return false;

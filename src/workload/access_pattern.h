@@ -2,7 +2,7 @@
  * @file
  * Per-job page-access generation.
  *
- * Every page carries a next-access time in a min-heap; accessing a
+ * Every page carries a next-access time in an EventQueue; accessing a
  * page draws the next inter-access gap from its reuse class's
  * distribution (exponential for hot pages, lognormal for warm,
  * Pareto for cold, mostly-never for frozen, windowed for diurnal).
@@ -56,9 +56,9 @@ class AccessPattern
 
     /**
      * Checkpointable-shaped snapshot of the renewal-process state:
-     * per-page reuse classes, the generator, the packed event heap
-     * verbatim, and the next scan time. The profile is restored by
-     * the owning Job, not here.
+     * per-page reuse classes, the generator, the queued events as an
+     * ascending key array, and the next scan time. The profile is
+     * restored by the owning Job, not here.
      */
     void ckpt_save(Serializer &s) const;
     bool ckpt_load(Deserializer &d);
@@ -76,11 +76,10 @@ class AccessPattern
         SimTime end = now + dt;
         GapMath math{1.0 / profile_.hot_gap_mean,
                      std::log(profile_.warm_median_gap)};
-        // Batch drain: the queue hands over each due event and takes
-        // the replacement key back in the same heap operation. The
-        // RNG draw order (is_write, then the gap draws inside
-        // next_event_key) matches the historical pop/emplace loop
-        // exactly, so trajectories are unchanged.
+        // Batch drain: the queue hands over each due event in (time,
+        // page) order and takes the replacement key back. The RNG
+        // draw order (is_write, then the gap draws inside
+        // next_event_key) follows that order exactly.
         std::uint64_t accesses = queue_.drain_until(
             end, [&](SimTime t, PageId page) -> std::uint64_t {
                 bool is_write = rng_.next_bool(profile_.write_frac);

@@ -612,22 +612,39 @@ TEST(SubsystemCkpt, JobRoundTripDigestEqual)
     }
 }
 
-/** A CRC-valid but corrupt edit of an access pattern's event array. */
+/** A CRC-valid but corrupt edit of an access pattern's event array,
+ *  a strictly ascending array of packed (time, page) keys. */
 struct EventArrayCorruption
 {
     const char *what;
-    void (*mutate)(std::vector<std::uint64_t> &heap);
+    void (*mutate)(std::vector<std::uint64_t> &events,
+                   std::uint32_t num_pages);
 };
 
+/** The key one second after @p key's time, for @p page. */
+std::uint64_t
+later_key(std::uint64_t key, std::uint32_t page)
+{
+    return (((key >> 32) + 1) << 32) | page;
+}
+
 const EventArrayCorruption kEventArrayCorruptions[] = {
-    {"heap order broken: the earliest event swapped to the back",
-     [](std::vector<std::uint64_t> &heap) {
-         std::swap(heap.front(), heap.back());
+    {"ascending order broken: the earliest event swapped to the back",
+     [](std::vector<std::uint64_t> &events, std::uint32_t) {
+         std::swap(events.front(), events.back());
      }},
-    {"page queued twice: the last event copies its parent (heap order "
-     "still holds)",
-     [](std::vector<std::uint64_t> &heap) {
-         heap.back() = heap[(heap.size() - 2) / 4];
+    {"page queued twice: the last event copies the one before it",
+     [](std::vector<std::uint64_t> &events, std::uint32_t) {
+         events.back() = events[events.size() - 2];
+     }},
+    {"page queued twice at a later time (ascending order still holds)",
+     [](std::vector<std::uint64_t> &events, std::uint32_t) {
+         events.back() = later_key(events.back(),
+                                   static_cast<std::uint32_t>(events[0]));
+     }},
+    {"page out of range at the end (ascending order still holds)",
+     [](std::vector<std::uint64_t> &events, std::uint32_t num_pages) {
+         events.back() = later_key(events.back(), num_pages);
      }},
 };
 
@@ -649,10 +666,10 @@ corrupt_event_array(const std::vector<std::uint8_t> &pattern_bytes,
     Rng rng;
     d.get_rng(rng);
     s.put_rng(rng);
-    std::vector<std::uint64_t> heap = d.get_u64_vec();
-    EXPECT_GE(heap.size(), 2u);
-    corruption.mutate(heap);
-    s.put_u64_vec(heap);
+    std::vector<std::uint64_t> events = d.get_u64_vec();
+    EXPECT_GE(events.size(), 2u);
+    corruption.mutate(events, static_cast<std::uint32_t>(num_pages));
+    s.put_u64_vec(events);
     s.put_i64(d.get_i64());
     EXPECT_TRUE(d.ok() && d.at_end());
     return s.take();
@@ -1195,7 +1212,9 @@ nvm_tier(const char *label, std::uint64_t capacity, double lo, double hi)
 // lands on the same digest. The values were captured on the build
 // that still kept zswap handles and checksums in hash maps keyed by
 // page and by handle, and deep-tier indices in a lazily allocated
-// per-page array.
+// per-page array. The file hashes were re-pinned for format version 6,
+// which lists each job's access events in ascending key order; the
+// digests did not move.
 TEST(FleetCkpt, FarPageRecordsMatchPinnedCheckpoints)
 {
     TempCkpt ckpt("fleet_ckpt_far_pages.ckpt");
@@ -1222,7 +1241,7 @@ TEST(FleetCkpt, FarPageRecordsMatchPinnedCheckpoints)
         MetricsSnapshot snap = fleet.fleet_telemetry();
         ASSERT_GT(snap.gauges.at("tier.remote.stored_pages"), 0.0);
         expect_pinned(fleet, config, 0x75f7ceb894a29e9cULL,
-                      0x67490da93e14ffacULL);
+                      0xbb6352773a2265b3ULL);
     }
     {  // pages at deep-tier stack indices >= 2
         SCOPED_TRACE("three deep tiers");
@@ -1271,7 +1290,7 @@ TEST(FleetCkpt, FarPageRecordsMatchPinnedCheckpoints)
         }
         ASSERT_GT(deep, 0u) << "no page sits at stack index >= 2";
         expect_pinned(fleet, config, 0x409235e0872ed452ULL,
-                      0xf22171f4764a0c54ULL);
+                      0x4c75312aaf6355abULL);
     }
     {  // real payload bytes in the arena records
         SCOPED_TRACE("real compression, verified");
@@ -1291,7 +1310,7 @@ TEST(FleetCkpt, FarPageRecordsMatchPinnedCheckpoints)
         MetricsSnapshot snap = fleet.fleet_telemetry();
         ASSERT_GT(snap.gauges.at("zswap.stored_pages"), 0.0);
         expect_pinned(fleet, config, 0x84b4bccef62360beULL,
-                      0xec17b7ae40eea95fULL);
+                      0x875eeb0f7befcf70ULL);
     }
 }
 
@@ -1371,12 +1390,14 @@ run_into_rollout(FarMemorySystem &fleet)
 // tables with leases granted and revoked, and a "rollout" campaign in
 // flight. The digest and the file's StateDigest were captured on the
 // build that concatenated every section in memory before one write
-// and checked CRCs on the calling thread. A serial twin writes the
-// same bytes, and a restore on the pool lands on the same digest.
+// and checked CRCs on the calling thread; the file hash was re-pinned
+// for format version 6 (each job's access events in ascending key
+// order), the digest was not. A serial twin writes the same bytes,
+// and a restore on the pool lands on the same digest.
 TEST(FleetCkpt, PooledRolloutFleetMatchesPinnedCheckpoint)
 {
     constexpr std::uint64_t kDigest = 0x6b823e019b84606bULL;
-    constexpr std::uint64_t kFileHash = 0x4eba16a1992feac8ULL;
+    constexpr std::uint64_t kFileHash = 0xfba596d6c82278c3ULL;
     TempCkpt ckpt("fleet_ckpt_pooled_rollout.ckpt");
     TempCkpt twin_ckpt("fleet_ckpt_pooled_rollout_serial.ckpt");
 

@@ -448,13 +448,15 @@ file_hash(const std::string &path)
 // that still kept one 8-bit age per page and aged idle pages by
 // incrementing them. The checkpoint hashes were re-pinned for format
 // version 5, whose config section no longer carries the single-tier
-// machine fields; every other section's bytes are unchanged.
+// machine fields, and for version 6, which lists each job's access
+// events as one ascending key array instead of the event heap's
+// layout; the digests did not move.
 TEST(PageTableFleet, SmallFleetPastSaturationMatchesPinnedCheckpoints)
 {
     constexpr std::uint64_t kDigest300 = 0x9b07c6ba63e9e8feULL;
     constexpr std::uint64_t kDigest600 = 0xf70e82bbef772d84ULL;
-    constexpr std::uint64_t kCkptHash300 = 0xe3e9c2a1257ef4b6ULL;
-    constexpr std::uint64_t kCkptHash600 = 0xa33c504cc7c91554ULL;
+    constexpr std::uint64_t kCkptHash300 = 0x88e955ce0a3226d3ULL;
+    constexpr std::uint64_t kCkptHash600 = 0x5bb25b8937e73d60ULL;
     const FleetConfig config = small_fleet_config();
     TempFile at300("page_table_fleet_300.ckpt");
     TempFile at560("page_table_fleet_560.ckpt");
